@@ -246,7 +246,7 @@ fn flow_ref<'a>(flow: &'a RequestFlow) -> FlowRef<'a> {
 }
 
 /// Resolves the subject's matching preferences (highest priority, then
-/// strictest) from an iterator of candidates.
+/// strictest, then lowest id) from an iterator of candidates, in one pass.
 fn preference_verdict<'a>(
     prefs: impl Iterator<Item = &'a UserPreference>,
     flow: &RequestFlow,
@@ -255,40 +255,73 @@ fn preference_verdict<'a>(
 ) -> Option<(Effect, PreferenceId)> {
     let ctx = condition_context(flow, model);
     let fr = flow_ref(flow);
-    let matching: Vec<&UserPreference> = prefs
+    let winner = prefs
         .filter(|p| p.user == flow.subject)
         .filter(|p| p.scope.covers(&fr, ontology, &ctx))
-        .collect();
-    let top = matching.iter().map(|p| p.priority).max()?;
-    let winner = matching
-        .into_iter()
-        .filter(|p| p.priority == top)
-        .max_by_key(|p| (p.effect.strictness(), std::cmp::Reverse(p.id)))?;
+        .max_by_key(|p| (p.priority, p.effect.strictness(), std::cmp::Reverse(p.id)))?;
     Some((winner.effect, winner.id))
+}
+
+/// What `decide_from_parts` needs to know about the policies that apply to
+/// a flow, gathered in one pass without collecting them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Applicable {
+    /// The first applicable policy.
+    first: Option<PolicyId>,
+    /// The first applicable mandatory policy.
+    required: Option<PolicyId>,
+    /// The first applicable opt-out policy.
+    opt_out: Option<PolicyId>,
+}
+
+impl Applicable {
+    /// Scans `policies` in order. Stops at the first mandatory policy,
+    /// which decides the flow whatever else applies.
+    fn scan<'a>(
+        policies: impl Iterator<Item = &'a BuildingPolicy>,
+        flow: &RequestFlow,
+        ontology: &Ontology,
+        model: &SpatialModel,
+    ) -> Applicable {
+        let mut out = Applicable::default();
+        for p in policies.filter(|p| policy_applies(p, flow, ontology, model)) {
+            out.first.get_or_insert(p.id);
+            match p.modality {
+                Modality::Required => {
+                    out.required = Some(p.id);
+                    break;
+                }
+                Modality::OptOut => {
+                    out.opt_out.get_or_insert(p.id);
+                }
+                Modality::OptIn => {}
+            }
+        }
+        out
+    }
 }
 
 /// Core decision logic shared by both enforcers, given the applicable
 /// policies and the preference verdict.
 fn decide_from_parts(
-    applicable: &[&BuildingPolicy],
+    applicable: Applicable,
     pref: Option<(Effect, PreferenceId)>,
     strategy: ResolutionStrategy,
 ) -> EnforcementDecision {
-    let required = applicable.iter().find(|p| p.modality == Modality::Required);
-    if let Some(req) = required {
+    if let Some(req) = applicable.required {
         // Mandatory policy: by default it prevails; other strategies let
         // the preference bite.
         return match (strategy, pref) {
             (ResolutionStrategy::PolicyPrevails, Some((e, pid))) if e.strictness() > 0 => {
                 EnforcementDecision {
                     effect: Effect::Allow,
-                    basis: DecisionBasis::MandatoryPolicy(req.id),
+                    basis: DecisionBasis::MandatoryPolicy(req),
                     overridden_preference: Some(pid),
                 }
             }
             (ResolutionStrategy::PolicyPrevails, _) => EnforcementDecision {
                 effect: Effect::Allow,
-                basis: DecisionBasis::MandatoryPolicy(req.id),
+                basis: DecisionBasis::MandatoryPolicy(req),
                 overridden_preference: None,
             },
             (_, Some((e, pid))) => EnforcementDecision {
@@ -298,18 +331,18 @@ fn decide_from_parts(
             },
             (_, None) => EnforcementDecision {
                 effect: Effect::Allow,
-                basis: DecisionBasis::MandatoryPolicy(req.id),
+                basis: DecisionBasis::MandatoryPolicy(req),
                 overridden_preference: None,
             },
         };
     }
-    if applicable.is_empty() {
+    let Some(first) = applicable.first else {
         return EnforcementDecision {
             effect: Effect::Deny,
             basis: DecisionBasis::NoAuthorizingPolicy,
             overridden_preference: None,
         };
-    }
+    };
     if let Some((e, pid)) = pref {
         return EnforcementDecision {
             effect: e,
@@ -320,16 +353,15 @@ fn decide_from_parts(
     // No preference: modality default. Opt-out policies default-allow;
     // opt-in policies default-deny. If both kinds apply, the opt-out
     // authorization suffices for the flow.
-    let opt_out = applicable.iter().find(|p| p.modality == Modality::OptOut);
-    match opt_out {
+    match applicable.opt_out {
         Some(p) => EnforcementDecision {
             effect: Effect::Allow,
-            basis: DecisionBasis::PolicyDefault(p.id),
+            basis: DecisionBasis::PolicyDefault(p),
             overridden_preference: None,
         },
         None => EnforcementDecision {
             effect: Effect::Deny,
-            basis: DecisionBasis::PolicyDefault(applicable[0].id),
+            basis: DecisionBasis::PolicyDefault(first),
             overridden_preference: None,
         },
     }
@@ -366,23 +398,22 @@ impl Enforcer for NaiveEnforcer {
         ontology: &Ontology,
         model: &SpatialModel,
     ) -> EnforcementDecision {
-        let applicable: Vec<&BuildingPolicy> = self
-            .policies
-            .iter()
-            .filter(|p| policy_applies(p, flow, ontology, model))
-            .collect();
+        let applicable = Applicable::scan(self.policies.iter(), flow, ontology, model);
         let pref = preference_verdict(self.preferences.iter(), flow, ontology, model);
-        decide_from_parts(&applicable, pref, self.strategy)
+        decide_from_parts(applicable, pref, self.strategy)
     }
 }
 
-/// The optimized enforcer: policies indexed by data-category family
-/// (own category + descendants + inferable categories, the same scheme as
-/// `tippers_policy::ConflictIndex`), preferences indexed by user.
+/// The optimized enforcer: for every data category, the policies whose
+/// data-category family (own category + descendants + inferable
+/// categories, the same scheme as `tippers_policy::ConflictIndex`) can
+/// overlap a request for it; preferences indexed by user. Deciding a flow
+/// allocates nothing.
 #[derive(Debug, Clone)]
 pub struct IndexedEnforcer {
     policies: Vec<BuildingPolicy>,
-    by_category: HashMap<ConceptId, Vec<usize>>,
+    /// Candidate policy indices per data concept index, ascending.
+    candidates: Vec<Vec<usize>>,
     prefs_by_user: HashMap<UserId, Vec<UserPreference>>,
     strategy: ResolutionStrategy,
 }
@@ -395,21 +426,38 @@ impl IndexedEnforcer {
         strategy: ResolutionStrategy,
         ontology: &Ontology,
     ) -> Self {
-        let mut by_category: HashMap<ConceptId, Vec<usize>> = HashMap::new();
-        let mut family_cache: HashMap<ConceptId, Vec<ConceptId>> = HashMap::new();
+        // A policy registers under its family: its own category, its
+        // descendants, and everything inferable from it. A request probes
+        // its category plus its descendants, which reaches every policy
+        // whose data practice overlaps the request (including
+        // shared-sub-category and inferred-data overlaps); the precise
+        // `policy_applies` check runs on the survivors. The probe of
+        // category `c` meets the family of policy `p` exactly when `c` is an
+        // ancestor-or-self of a family member, so each policy is listed
+        // under those concepts, once and in ascending order.
+        let mut candidates: Vec<Vec<usize>> = vec![Vec::new(); ontology.data.len()];
+        let mut probed_by: HashMap<ConceptId, Vec<ConceptId>> = HashMap::new();
         for (i, p) in policies.iter().enumerate() {
-            let keys = family_cache.entry(p.data).or_insert_with(|| {
-                let mut keys = vec![p.data];
-                keys.extend(ontology.data.descendants(p.data));
-                for inf in ontology.inferable_from(p.data) {
-                    keys.push(inf.concept);
+            let concepts = probed_by.entry(p.data).or_insert_with(|| {
+                let mut family = vec![p.data];
+                family.extend(ontology.data.descendants(p.data));
+                family.extend(
+                    ontology
+                        .inferable_from(p.data)
+                        .iter()
+                        .map(|inf| inf.concept),
+                );
+                let mut concepts = Vec::new();
+                for k in family {
+                    concepts.push(k);
+                    concepts.extend(ontology.data.ancestors(k));
                 }
-                keys.sort_unstable();
-                keys.dedup();
-                keys
+                concepts.sort_unstable();
+                concepts.dedup();
+                concepts
             });
-            for &k in keys.iter() {
-                by_category.entry(k).or_default().push(i);
+            for c in concepts.iter() {
+                candidates[c.index()].push(i);
             }
         }
         let mut prefs_by_user: HashMap<UserId, Vec<UserPreference>> = HashMap::new();
@@ -418,28 +466,10 @@ impl IndexedEnforcer {
         }
         IndexedEnforcer {
             policies,
-            by_category,
+            candidates,
             prefs_by_user,
             strategy,
         }
-    }
-
-    fn candidates(&self, data: ConceptId, ontology: &Ontology) -> Vec<usize> {
-        // Registration covers each policy's own category, its descendants,
-        // and everything inferable from it; probing the request category
-        // plus its descendants therefore reaches every policy whose data
-        // practice overlaps the request (including shared-sub-category and
-        // inferred-data overlaps). The precise `policy_applies` check runs
-        // on the survivors.
-        let mut out: Vec<usize> = self.by_category.get(&data).cloned().unwrap_or_default();
-        for d in ontology.data.descendants(data) {
-            if let Some(v) = self.by_category.get(&d) {
-                out.extend_from_slice(v);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -450,17 +480,21 @@ impl Enforcer for IndexedEnforcer {
         ontology: &Ontology,
         model: &SpatialModel,
     ) -> EnforcementDecision {
-        let candidate_idx = self.candidates(flow.data, ontology);
-        let applicable: Vec<&BuildingPolicy> = candidate_idx
-            .into_iter()
-            .map(|i| &self.policies[i])
-            .filter(|p| policy_applies(p, flow, ontology, model))
-            .collect();
+        let candidates = self
+            .candidates
+            .get(flow.data.index())
+            .map_or(&[][..], Vec::as_slice);
+        let applicable = Applicable::scan(
+            candidates.iter().map(|&i| &self.policies[i]),
+            flow,
+            ontology,
+            model,
+        );
         let pref = self
             .prefs_by_user
             .get(&flow.subject)
             .and_then(|prefs| preference_verdict(prefs.iter(), flow, ontology, model));
-        decide_from_parts(&applicable, pref, self.strategy)
+        decide_from_parts(applicable, pref, self.strategy)
     }
 }
 
@@ -775,6 +809,71 @@ mod tests {
             d.effect,
             Effect::Degrade(tippers_spatial::Granularity::Floor)
         );
+    }
+
+    #[test]
+    fn the_first_applicable_policy_of_each_kind_decides() {
+        let env = env();
+        let c = env.ontology.concepts();
+        let policy = |id, modality| {
+            BuildingPolicy::new(
+                PolicyId(id),
+                "location service",
+                env.dbh.building,
+                c.location_fine,
+                c.navigation,
+            )
+            .with_actions(tippers_policy::ActionSet::ALL)
+            .with_modality(modality)
+        };
+        let all = vec![
+            policy(10, Modality::OptIn),
+            policy(11, Modality::OptOut),
+            policy(12, Modality::OptOut),
+            policy(13, Modality::Required),
+            policy(14, Modality::Required),
+        ];
+        let flow = RequestFlow::share(
+            UserId(1),
+            UserGroup::Staff,
+            c.location_fine,
+            c.navigation,
+            None,
+            Timestamp::at(0, 12, 0),
+        );
+        for (policies, effect, basis) in [
+            (
+                all.clone(),
+                Effect::Allow,
+                DecisionBasis::MandatoryPolicy(PolicyId(13)),
+            ),
+            (
+                all[..3].to_vec(),
+                Effect::Allow,
+                DecisionBasis::PolicyDefault(PolicyId(11)),
+            ),
+            (
+                all[..1].to_vec(),
+                Effect::Deny,
+                DecisionBasis::PolicyDefault(PolicyId(10)),
+            ),
+        ] {
+            let naive =
+                NaiveEnforcer::new(policies.clone(), vec![], ResolutionStrategy::PolicyPrevails);
+            let indexed = IndexedEnforcer::new(
+                policies,
+                vec![],
+                ResolutionStrategy::PolicyPrevails,
+                &env.ontology,
+            );
+            for d in [
+                naive.decide(&flow, &env.ontology, &env.dbh.model),
+                indexed.decide(&flow, &env.ontology, &env.dbh.model),
+            ] {
+                assert_eq!(d.effect, effect);
+                assert_eq!(d.basis, basis);
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl SensitivityProfile {
     /// sensitive too).
     pub fn sensitivity(&self, ontology: &Ontology, category: ConceptId) -> f64 {
         let mut s = self.weights.get(&category).copied().unwrap_or(0.0);
-        for anc in ontology.data.ancestors(category) {
+        for &anc in ontology.data.ancestors(category) {
             if let Some(&w) = self.weights.get(&anc) {
                 s = s.max(w);
             }

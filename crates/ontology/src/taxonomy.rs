@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -90,6 +91,78 @@ impl std::error::Error for TaxonomyError {}
 pub struct Taxonomy {
     concepts: Vec<Concept>,
     by_key: HashMap<String, ConceptId>,
+    /// Memoized subsumption closure (hot path of policy and preference
+    /// matching); rebuilt lazily after deserialization or `try_add`.
+    #[serde(skip)]
+    closure: OnceLock<Closure>,
+}
+
+/// The reflexive-transitive subsumption relation of a taxonomy, computed
+/// once: an `n × n` bit matrix (`n²/64` words) and the strict ancestor and
+/// descendant lists of every concept, in the order of a depth-first walk
+/// from that concept.
+#[derive(Debug, Clone)]
+struct Closure {
+    /// Words per bit-matrix row.
+    words: usize,
+    /// Row `i`, bit `j`: concept `j` is-a concept `i` (descendant-or-self).
+    down: Vec<u64>,
+    ancestors: Vec<Vec<ConceptId>>,
+    descendants: Vec<Vec<ConceptId>>,
+}
+
+impl Closure {
+    fn build(concepts: &[Concept]) -> Closure {
+        let n = concepts.len();
+        let words = n.div_ceil(64);
+        let ancestors: Vec<Vec<ConceptId>> = concepts
+            .iter()
+            .map(|c| dfs(concepts, c.id, Concept::parents))
+            .collect();
+        let descendants = concepts
+            .iter()
+            .map(|c| dfs(concepts, c.id, Concept::children))
+            .collect();
+        let mut down = vec![0; n * words];
+        for (i, anc) in ancestors.iter().enumerate() {
+            for a in anc.iter().map(|a| a.index()).chain([i]) {
+                down[a * words + i / 64] |= 1 << (i % 64);
+            }
+        }
+        Closure {
+            words,
+            down,
+            ancestors,
+            descendants,
+        }
+    }
+
+    /// The descendants-or-self of `id` as a bit row.
+    fn row(&self, id: ConceptId) -> &[u64] {
+        &self.down[id.index() * self.words..(id.index() + 1) * self.words]
+    }
+}
+
+/// The concepts reachable from `start` over `edges`, in depth-first order
+/// and without `start` itself.
+fn dfs(
+    concepts: &[Concept],
+    start: ConceptId,
+    edges: fn(&Concept) -> &[ConceptId],
+) -> Vec<ConceptId> {
+    let mut out = Vec::new();
+    let mut seen = vec![false; concepts.len()];
+    let mut stack = vec![start];
+    while let Some(c) = stack.pop() {
+        for &next in edges(&concepts[c.index()]) {
+            if !seen[next.index()] {
+                seen[next.index()] = true;
+                out.push(next);
+                stack.push(next);
+            }
+        }
+    }
+    out
 }
 
 impl Taxonomy {
@@ -159,6 +232,7 @@ impl Taxonomy {
             self.concepts[p.index()].children.push(id);
         }
         self.by_key.insert(key.to_owned(), id);
+        self.closure = OnceLock::new();
         Ok(id)
     }
 
@@ -191,76 +265,39 @@ impl Taxonomy {
         self.concepts.iter()
     }
 
+    fn closure(&self) -> &Closure {
+        self.closure.get_or_init(|| Closure::build(&self.concepts))
+    }
+
     /// Subsumption: true if `sub` is `sup` or a (transitive) descendant.
     ///
     /// This is the reasoning primitive behind policy matching: a policy over
     /// `data/location` applies to a request for `data/location/room-level`.
+    /// Memoized: a bit lookup after the first query.
     pub fn is_a(&self, sub: ConceptId, sup: ConceptId) -> bool {
         if sub == sup {
             return true;
         }
-        let mut stack = vec![sub];
-        let mut seen = vec![false; self.concepts.len()];
-        while let Some(c) = stack.pop() {
-            for &p in &self.concepts[c.index()].parents {
-                if p == sup {
-                    return true;
-                }
-                if !seen[p.index()] {
-                    seen[p.index()] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        false
+        self.closure().row(sup)[sub.index() / 64] & (1 << (sub.index() % 64)) != 0
     }
 
-    /// All (transitive) ancestors of `id`, excluding `id` itself.
-    pub fn ancestors(&self, id: ConceptId) -> Vec<ConceptId> {
-        let mut out = Vec::new();
-        let mut seen = vec![false; self.concepts.len()];
-        let mut stack = vec![id];
-        while let Some(c) = stack.pop() {
-            for &p in &self.concepts[c.index()].parents {
-                if !seen[p.index()] {
-                    seen[p.index()] = true;
-                    out.push(p);
-                    stack.push(p);
-                }
-            }
-        }
-        out
+    /// All (transitive) ancestors of `id`, excluding `id` itself, in
+    /// depth-first order from `id`.
+    pub fn ancestors(&self, id: ConceptId) -> &[ConceptId] {
+        &self.closure().ancestors[id.index()]
     }
 
-    /// All (transitive) descendants of `id`, excluding `id` itself.
-    pub fn descendants(&self, id: ConceptId) -> Vec<ConceptId> {
-        let mut out = Vec::new();
-        let mut seen = vec![false; self.concepts.len()];
-        let mut stack = vec![id];
-        while let Some(c) = stack.pop() {
-            for &ch in &self.concepts[c.index()].children {
-                if !seen[ch.index()] {
-                    seen[ch.index()] = true;
-                    out.push(ch);
-                    stack.push(ch);
-                }
-            }
-        }
-        out
+    /// All (transitive) descendants of `id`, excluding `id` itself, in
+    /// depth-first order from `id`.
+    pub fn descendants(&self, id: ConceptId) -> &[ConceptId] {
+        &self.closure().descendants[id.index()]
     }
 
     /// True if the two concepts share any descendant-or-self, i.e. a request
     /// could satisfy both.
     pub fn compatible(&self, a: ConceptId, b: ConceptId) -> bool {
-        if self.is_a(a, b) || self.is_a(b, a) {
-            return true;
-        }
-        let mut under_a = vec![false; self.concepts.len()];
-        under_a[a.index()] = true;
-        for d in self.descendants(a) {
-            under_a[d.index()] = true;
-        }
-        self.descendants(b).into_iter().any(|d| under_a[d.index()])
+        let c = self.closure();
+        c.row(a).iter().zip(c.row(b)).any(|(x, y)| x & y != 0)
     }
 
     /// Semantic distance: number of edges on the shortest undirected path
@@ -326,14 +363,14 @@ mod tests {
     #[test]
     fn ancestors_and_descendants() {
         let (t, top, l, r, bottom) = diamond();
-        let mut anc = t.ancestors(bottom);
+        let mut anc = t.ancestors(bottom).to_vec();
         anc.sort();
         assert_eq!(anc, {
             let mut v = vec![top, l, r];
             v.sort();
             v
         });
-        let mut desc = t.descendants(top);
+        let mut desc = t.descendants(top).to_vec();
         desc.sort();
         assert_eq!(desc, {
             let mut v = vec![l, r, bottom];

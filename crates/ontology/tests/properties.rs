@@ -46,7 +46,7 @@ proptest! {
             prop_assert!(t.is_a(a, c));
         }
         // ancestors() is exactly the strict is_a set.
-        for anc in t.ancestors(a) {
+        for &anc in t.ancestors(a) {
             prop_assert!(t.is_a(a, anc));
         }
         prop_assert_eq!(
@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn descendants_inverse_of_ancestors(t in arb_taxonomy(20)) {
         for c in all_ids(&t) {
-            for d in t.descendants(c) {
+            for &d in t.descendants(c) {
                 prop_assert!(t.ancestors(d).contains(&c));
             }
         }
