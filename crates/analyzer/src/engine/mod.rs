@@ -1,6 +1,6 @@
 //! The shared semantic dataflow engine.
 //!
-//! One lowering step ([`Facts::build`]) turns a [`DeploymentCorpus`] into a
+//! One lowering step (`Facts::build`) turns a [`DeploymentCorpus`] into a
 //! typed fact graph — resolvable policies and preferences, per-resource
 //! disclosed categories and their inference closures, declared purposes,
 //! inference-rule cycles — and every pass queries those facts instead of

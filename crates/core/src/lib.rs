@@ -88,10 +88,9 @@ pub use shard::{
 };
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use store::{Store, StoredRow};
-pub use tippers::{EnforcerKind, Tippers, TippersConfig};
+pub use tippers::{Tippers, TippersConfig};
 pub use wal::{
-    GroupCommitReport, InvalidationTail, RecoveryReport, SettingsMutation, WalConfig, WalError,
-    WalRecord,
+    GroupCommitReport, RecoveryReport, SettingsMutation, WalConfig, WalError, WalRecord,
 };
 
 // Resilience vocabulary used in this crate's public API (health reporting,

@@ -64,11 +64,8 @@ impl PreferenceManager {
 
     /// Adds a preference, assigning a fresh id. Returns the id.
     pub fn add(&mut self, mut pref: UserPreference) -> PreferenceId {
-        let id = PreferenceId(self.next_id);
-        self.next_id += 1;
-        pref.id = id;
-        self.preferences.push(pref);
-        id
+        pref.id = PreferenceId(self.next_id);
+        self.insert_assigned(pref)
     }
 
     /// Inserts a preference keeping its caller-assigned id, advancing the
@@ -157,9 +154,8 @@ impl PreferenceManager {
         setting_key: &str,
         option_index: usize,
     ) -> Result<(PreferenceId, Effect), SettingsError> {
-        let (pref, effect) =
-            self.prepare_setting_choice(user, policy, setting_key, option_index)?;
-        Ok((self.add(pref), effect))
+        let id = PreferenceId(self.next_id);
+        self.apply_setting_choice_assigned(user, policy, setting_key, option_index, id)
     }
 
     /// [`PreferenceManager::apply_setting_choice`], but keeping a

@@ -20,6 +20,7 @@ use super::link::{Ack, Frame, ReplicationLink};
 use super::node::Node;
 use super::settings::{divergent_choices, resolve, MergeWinner, VersionedChoice};
 use crate::audit::AuditLog;
+use crate::enforce::EnforcementDecision;
 use crate::request::{DataRequest, DataResponse};
 use crate::snapshot::Snapshot;
 use crate::tippers::{Tippers, TippersConfig};
@@ -527,7 +528,10 @@ impl Cluster {
             n.bms.set_serve_follower(true);
             Some(n.bms.handle_request(request, now))
         } else {
-            Some(n.bms.stale_response(request, now))
+            Some(
+                n.bms
+                    .deny_all(request, now, EnforcementDecision::stale_replica()),
+            )
         }
     }
 

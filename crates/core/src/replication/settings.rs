@@ -2,13 +2,16 @@
 //! partition heals.
 //!
 //! During a partition both sides of the cluster may accept
-//! `SettingChoice` writes for the same (user, policy, setting) key. On
+//! [`WalRecord::SettingChoiceAssigned`] writes for the same (user,
+//! policy, setting) key. The preference id a record carries is local to
+//! its branch and plays no part in the merge: a winning branch choice is
+//! re-applied on the primary, which allocates a fresh id. On
 //! heal the branches are merged by **(epoch, per-subject version)
 //! last-writer-wins with a privacy-max tiebreak**: the choice made under
 //! the higher epoch wins; within one epoch the later per-subject version
 //! wins; on an exact tie the *more restrictive* option wins (privacy
 //! first), and the superseded side's user receives a durable
-//! [`crate::wal::WalRecord::Notice`] so their IoTA re-notifies them.
+//! [`WalRecord::Notice`] so their IoTA re-notifies them.
 
 use std::collections::BTreeMap;
 
@@ -26,7 +29,7 @@ pub type ChoiceKey = (UserId, PolicyId, String);
 pub struct VersionedChoice {
     /// Epoch of the frame that carried the choice.
     pub epoch: u64,
-    /// 1-based count of `SettingChoice` records by this user up to and
+    /// 1-based count of setting-choice records by this user up to and
     /// including this one, over the branch's full history — a per-subject
     /// logical clock that survives replay.
     pub version: u64,
@@ -47,7 +50,7 @@ impl VersionedChoice {
     }
 }
 
-/// Extracts the last `SettingChoice` per merge key from the suffix of
+/// Extracts the last setting choice per merge key from the suffix of
 /// `history` starting at frame index `from`, versioned against the
 /// branch's *full* history (earlier choices advance the per-user clock
 /// even though they predate the divergence point).
@@ -55,11 +58,12 @@ pub fn divergent_choices(history: &[Frame], from: usize) -> Vec<VersionedChoice>
     let mut per_user: BTreeMap<UserId, u64> = BTreeMap::new();
     let mut last: BTreeMap<ChoiceKey, VersionedChoice> = BTreeMap::new();
     for (index, frame) in history.iter().enumerate() {
-        let WalRecord::SettingChoice {
+        let WalRecord::SettingChoiceAssigned {
             user,
             policy,
             setting_key,
             option_index,
+            ..
         } = &frame.record
         else {
             continue;
@@ -119,18 +123,19 @@ pub fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tippers_policy::Timestamp;
+    use tippers_policy::{PreferenceId, Timestamp};
 
     fn choice_frame(epoch: u64, index: u64, user: u64, key: &str, option: usize) -> Frame {
         Frame {
             epoch,
             prev_epoch: epoch,
             index,
-            record: WalRecord::SettingChoice {
+            record: WalRecord::SettingChoiceAssigned {
                 user: UserId(user),
                 policy: PolicyId(1),
                 setting_key: key.into(),
                 option_index: option,
+                id: PreferenceId(index),
             },
         }
     }

@@ -8,15 +8,15 @@
 //! changes — and the `shard_differential` suite holds the two
 //! byte-identical on every decision.
 //!
-//! * [`route`]: jump-consistent-hash routing — deterministic, total,
+//! * `route`: jump-consistent-hash routing — deterministic, total,
 //!   minimal movement under shard-count changes — plus operator zone
 //!   pins (validated by analyzer lint TA016, honored at runtime).
-//! * [`fence`]: writer-epoch fencing of shard WAL partitions, so an
+//! * `fence`: writer-epoch fencing of shard WAL partitions, so an
 //!   abandoned slow worker can never write concurrently with the
 //!   engine rebuilt to replace it.
-//! * [`supervisor`]: the quarantine / backoff / rebuild state machine
+//! * `supervisor`: the quarantine / backoff / rebuild state machine
 //!   and its observability counters.
-//! * [`runtime`]: the [`ShardedTippers`] router and worker pool.
+//! * `runtime`: the [`ShardedTippers`] router and worker pool.
 
 mod fence;
 mod route;

@@ -25,7 +25,7 @@ use crate::aggregate::{bucketize, AggregateRequest, AggregateResponse};
 use crate::audit::chain::{AuditChain, ChainFault, SealedSegment, ARCHIVE_PREFIX, SEGMENT_RECORDS};
 use crate::audit::hash::{hex, sha256};
 use crate::audit::{AuditEntry, AuditLog, ChainEvent, DeletionCertificate, UserNotification};
-use crate::enforce::{EnforcementDecision, Enforcer, IndexedEnforcer, NaiveEnforcer, RequestFlow};
+use crate::enforce::{EnforcementDecision, Enforcer, IndexedEnforcer, RequestFlow};
 use crate::ingest::{
     coarsen_at_capture, CaptureDrop, CaptureDropReason, CaptureFilter, IngestConfig,
     IngestPipeline, IngestReport, IngestStats, LadderRung,
@@ -40,23 +40,11 @@ use crate::sensor_manager::{HvacCommand, SensorManager};
 use crate::store::{Store, StoredRow};
 use crate::wal::{FaultyLog, FsLog, LogIo, RecoveryReport, Wal, WalConfig, WalError, WalRecord};
 
-/// Which enforcement engine to run (design decision D1; experiment E8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnforcerKind {
-    /// Linear scan (the baseline).
-    Naive,
-    /// Category-indexed (the optimized path).
-    #[default]
-    Indexed,
-}
-
 /// BMS configuration.
 #[derive(Debug, Clone)]
 pub struct TippersConfig {
     /// Conflict-resolution strategy (default: mandatory policies prevail).
     pub strategy: ResolutionStrategy,
-    /// Enforcement engine.
-    pub enforcer: EnforcerKind,
     /// TTL for published advertisements, seconds.
     pub advertisement_ttl_secs: i64,
     /// Seed for noise injection.
@@ -103,7 +91,6 @@ impl Default for TippersConfig {
     fn default() -> Self {
         TippersConfig {
             strategy: ResolutionStrategy::PolicyPrevails,
-            enforcer: EnforcerKind::Indexed,
             advertisement_ttl_secs: 86_400,
             noise_seed: 0x71_bb,
             k_anonymity: 5,
@@ -130,26 +117,6 @@ struct PendingSweep {
     deleted_logged: bool,
 }
 
-#[derive(Debug)]
-enum EnforcerImpl {
-    Naive(NaiveEnforcer),
-    Indexed(IndexedEnforcer),
-}
-
-impl EnforcerImpl {
-    fn decide(
-        &self,
-        flow: &RequestFlow,
-        ontology: &Ontology,
-        model: &SpatialModel,
-    ) -> EnforcementDecision {
-        match self {
-            EnforcerImpl::Naive(e) => e.decide(flow, ontology, model),
-            EnforcerImpl::Indexed(e) => e.decide(flow, ontology, model),
-        }
-    }
-}
-
 /// The privacy-aware building management system.
 #[derive(Debug)]
 pub struct Tippers {
@@ -163,7 +130,7 @@ pub struct Tippers {
     audit: AuditLog,
     groups: HashMap<UserId, UserGroup>,
     macs: HashMap<UserId, MacAddress>,
-    enforcer: Option<EnforcerImpl>,
+    enforcer: Option<IndexedEnforcer>,
     noise_rng: StdRng,
     health: HealthMonitor,
     store_write_failures: u64,
@@ -368,20 +335,8 @@ impl Tippers {
                 self.enforcer = None;
                 self.policies.remove(policy);
             }
-            WalRecord::SubmitPreference { preference, now } => {
-                self.submit_preference_inner(preference, now);
-            }
             WalRecord::SubmitPreferenceAssigned { preference, now } => {
                 self.submit_preference_assigned_inner(preference, now);
-            }
-            WalRecord::SettingChoice {
-                user,
-                policy,
-                setting_key,
-                option_index,
-            } => {
-                self.apply_setting_choice_inner(user, policy, &setting_key, option_index)
-                    .map_err(|e| WalError::Replay(format!("setting choice: {e}")))?;
             }
             WalRecord::SettingChoiceAssigned {
                 user,
@@ -586,15 +541,22 @@ impl Tippers {
         }
     }
 
-    /// The fail-closed answer of a replica that cannot prove its lag is
-    /// within the configured staleness bound: every subject denied with
-    /// [`crate::DecisionBasis::StaleReplica`], each denial audited. A
-    /// stale replica never guesses from possibly-outdated settings.
-    pub(crate) fn stale_response(&mut self, request: &DataRequest, now: Timestamp) -> DataResponse {
+    /// A fail-closed answer: every subject denied with `decision`, each
+    /// denial audited, the response marked degraded. Serves shed requests
+    /// ([`crate::DecisionBasis::Overload`]: overload never releases data
+    /// and never masquerades as a policy decision) and replicas that cannot
+    /// prove their lag is within the staleness bound
+    /// ([`crate::DecisionBasis::StaleReplica`]: a stale replica never
+    /// guesses from possibly-outdated settings).
+    pub(crate) fn deny_all(
+        &mut self,
+        request: &DataRequest,
+        now: Timestamp,
+        decision: EnforcementDecision,
+    ) -> DataResponse {
         let subjects = self.subjects_of(request, now);
         let mut results = Vec::with_capacity(subjects.len());
         for user in subjects {
-            let decision = EnforcementDecision::stale_replica();
             self.record_decision(
                 now,
                 user,
@@ -605,7 +567,7 @@ impl Tippers {
             );
             results.push(SubjectResult {
                 user,
-                decision,
+                decision: decision.clone(),
                 records: Vec::new(),
             });
         }
@@ -748,13 +710,11 @@ impl Tippers {
     // ---- policy administration (step 1) ------------------------------------
 
     /// Adds a building policy; returns its assigned id.
-    pub fn add_policy(&mut self, policy: BuildingPolicy) -> PolicyId {
-        let record = WalRecord::AddPolicy {
-            policy: policy.clone(),
-        };
+    pub fn add_policy(&mut self, mut policy: BuildingPolicy) -> PolicyId {
         self.enforcer = None;
-        let id = self.policies.add(policy);
-        self.log(record);
+        let id = self.policies.add(policy.clone());
+        policy.id = id;
+        self.log(WalRecord::AddPolicy { policy });
         id
     }
 
@@ -850,28 +810,19 @@ impl Tippers {
 
     // ---- preference intake (step 8) -----------------------------------------
 
-    /// Stores a preference submitted by a user's IoTA; detects conflicts
-    /// with mandatory policies and queues the notification (§III.B).
-    pub fn submit_preference(&mut self, pref: UserPreference, now: Timestamp) -> PreferenceId {
-        let record = WalRecord::SubmitPreference {
-            preference: pref.clone(),
-            now,
-        };
-        let id = self.submit_preference_inner(pref, now);
-        self.log(record);
-        id
+    /// Stores a preference submitted by a user's IoTA under the next id of
+    /// this engine's allocator; detects conflicts with mandatory policies
+    /// and queues the notification (§III.B).
+    pub fn submit_preference(&mut self, mut pref: UserPreference, now: Timestamp) -> PreferenceId {
+        pref.id = PreferenceId(self.preferences.next_id());
+        self.submit_preference_assigned(pref, now)
     }
 
-    fn submit_preference_inner(&mut self, pref: UserPreference, now: Timestamp) -> PreferenceId {
-        let mut stored = pref.clone();
-        stored.id = self.preferences.add(pref);
-        self.finish_preference_intake(stored, now)
-    }
-
-    /// Stores a preference whose id the shard router already allocated:
-    /// the id is kept verbatim (in memory, in the WAL record, and across
-    /// replay), which keeps decision bases byte-identical between the
-    /// sharded and unsharded engines.
+    /// Stores a preference whose id the caller (the shard router, or
+    /// [`Tippers::submit_preference`]) already allocated: the id is kept
+    /// verbatim in memory, in the WAL record, and across replay, which
+    /// keeps decision bases byte-identical between the sharded and
+    /// unsharded engines.
     pub fn submit_preference_assigned(
         &mut self,
         pref: UserPreference,
@@ -886,37 +837,31 @@ impl Tippers {
         id
     }
 
+    /// Conflict-checks a preference against every policy, queues the
+    /// notifications (§III.B), and stores it under its id.
     fn submit_preference_assigned_inner(
         &mut self,
         pref: UserPreference,
         now: Timestamp,
     ) -> PreferenceId {
-        let stored = pref.clone();
-        self.preferences.insert_assigned(pref);
-        self.finish_preference_intake(stored, now)
-    }
-
-    /// Conflict-checks a just-stored preference against every policy and
-    /// queues the notifications (§III.B). Returns the stored id.
-    fn finish_preference_intake(&mut self, stored: UserPreference, now: Timestamp) -> PreferenceId {
-        let user = stored.user;
         self.enforcer = None;
         for policy in self.policies.all() {
             if let Some(conflict) = conflict::classify(
                 policy,
-                &stored,
+                &pref,
                 &self.ontology,
                 &self.model,
                 self.config.strategy,
             ) {
-                self.audit.notify(user, now, conflict.notice.clone());
+                self.audit.notify(pref.user, now, conflict.notice.clone());
             }
         }
-        stored.id
+        self.preferences.insert_assigned(pref)
     }
 
     /// Applies an IoTA setting choice against a policy's advertised
-    /// settings (Figure 4 → step 8).
+    /// settings (Figure 4 → step 8); the derived preference takes the next
+    /// id of this engine's allocator.
     ///
     /// # Errors
     ///
@@ -928,38 +873,11 @@ impl Tippers {
         setting_key: &str,
         option_index: usize,
     ) -> Result<PreferenceId, SettingsError> {
-        let id = self.apply_setting_choice_inner(user, policy, setting_key, option_index)?;
-        self.log(WalRecord::SettingChoice {
-            user,
-            policy,
-            setting_key: setting_key.to_string(),
-            option_index,
-        });
-        Ok(id)
+        let id = PreferenceId(self.preferences.next_id());
+        self.apply_setting_choice_assigned(user, policy, setting_key, option_index, id)
     }
 
-    fn apply_setting_choice_inner(
-        &mut self,
-        user: UserId,
-        policy: PolicyId,
-        setting_key: &str,
-        option_index: usize,
-    ) -> Result<PreferenceId, SettingsError> {
-        let policy = self
-            .policies
-            .get(policy)
-            .ok_or_else(|| SettingsError::UnknownSetting {
-                key: format!("{policy}"),
-            })?
-            .clone();
-        self.enforcer = None;
-        let (id, _) =
-            self.preferences
-                .apply_setting_choice(user, &policy, setting_key, option_index)?;
-        Ok(id)
-    }
-
-    /// [`Tippers::apply_setting_choice`], with a router-assigned id for
+    /// [`Tippers::apply_setting_choice`], with a caller-assigned id for
     /// the derived preference (see [`Tippers::submit_preference_assigned`]).
     ///
     /// # Errors
@@ -1774,7 +1692,7 @@ impl Tippers {
             if let Some(ctrl) = self.admission.as_mut() {
                 ctrl.record_external_shed(request.priority);
             }
-            return self.shed_response(request, now);
+            return self.deny_all(request, now, EnforcementDecision::shed_overload());
         }
         // Stage 2: priority-classed admission + brownout ladder.
         let mut admitted = false;
@@ -1793,7 +1711,7 @@ impl Tippers {
                 self.health.mark_recovered();
             }
             if ctrl.admit(request.priority, now_ms, level).is_err() {
-                return self.shed_response(request, now);
+                return self.deny_all(request, now, EnforcementDecision::shed_overload());
             }
             admitted = true;
         }
@@ -1895,35 +1813,6 @@ impl Tippers {
                 v.sort();
                 v
             }
-        }
-    }
-
-    /// The fail-closed answer for a shed request: every subject denied
-    /// with [`crate::DecisionBasis::Overload`], each denial audited.
-    /// Overload never releases data and never masquerades as a policy
-    /// decision.
-    fn shed_response(&mut self, request: &DataRequest, now: Timestamp) -> DataResponse {
-        let subjects = self.subjects_of(request, now);
-        let mut results = Vec::with_capacity(subjects.len());
-        for user in subjects {
-            let decision = EnforcementDecision::shed_overload();
-            self.record_decision(
-                now,
-                user,
-                Some(request.service.clone()),
-                request.data,
-                request.purpose,
-                &decision,
-            );
-            results.push(SubjectResult {
-                user,
-                decision,
-                records: Vec::new(),
-            });
-        }
-        DataResponse {
-            results,
-            degraded: true,
         }
     }
 
@@ -2211,17 +2100,12 @@ impl Tippers {
         }
         let policies = self.policies.all().to_vec();
         let prefs = self.preferences.all().to_vec();
-        self.enforcer = Some(match self.config.enforcer {
-            EnforcerKind::Naive => {
-                EnforcerImpl::Naive(NaiveEnforcer::new(policies, prefs, self.config.strategy))
-            }
-            EnforcerKind::Indexed => EnforcerImpl::Indexed(IndexedEnforcer::new(
-                policies,
-                prefs,
-                self.config.strategy,
-                &self.ontology,
-            )),
-        });
+        self.enforcer = Some(IndexedEnforcer::new(
+            policies,
+            prefs,
+            self.config.strategy,
+            &self.ontology,
+        ));
         self.health.mark_recovered();
     }
 }

@@ -2,17 +2,12 @@
 //!
 //! An incremental linter (`tippers-lint --cache … --changed …`) wants to
 //! know, for each record appended to the log, which *settings-level*
-//! units it mutated — so it can re-solve only the dirty region instead
-//! of re-analyzing the whole deployment. This module derives that set
-//! from the records themselves.
-//!
-//! One subtlety forces the API to be stateful: `AddPolicy` and
-//! `SubmitPreference` records carry the payload *as submitted*, before
-//! the id allocator stamped it (replay re-runs the allocator and arrives
-//! at the same id deterministically). A tail reader therefore has to
-//! shadow both allocators, exactly like replay does, to name the unit a
-//! record actually created — hence [`InvalidationTail`] rather than a
-//! pure per-record function.
+//! unit it mutated — so it can re-solve only the dirty region instead of
+//! re-analyzing the whole deployment. Every settings record names the
+//! unit it touched (`AddPolicy` carries its policy with the id already
+//! assigned; preference records carry the preference id), so
+//! [`SettingsMutation::of`] is a pure per-record function: a reader may
+//! start anywhere in the log and needs no allocator state.
 
 use tippers_policy::{PolicyId, PreferenceId};
 
@@ -31,65 +26,23 @@ pub enum SettingsMutation {
     Preference(PreferenceId),
 }
 
-/// Shadows the policy/preference id allocators while scanning a log tail
-/// in order, mapping each record to the units it dirtied.
-///
-/// Start from [`InvalidationTail::new`] at the head of a fresh log, or
-/// feed it the tail starting at the last checkpoint — `Checkpoint`
-/// records resynchronize both allocators, so a tail anchored on one
-/// needs no other seed.
-#[derive(Debug, Clone, Default)]
-pub struct InvalidationTail {
-    next_policy_id: u64,
-    next_preference_id: u64,
-}
-
-impl InvalidationTail {
-    /// A tail positioned at the head of an empty log (both allocators
-    /// at zero, matching a fresh `Tippers`).
-    pub fn new() -> InvalidationTail {
-        InvalidationTail::default()
-    }
-
-    /// Consumes one record, advancing the shadowed allocators, and
-    /// returns the settings-level units it mutated. Data-plane records
+impl SettingsMutation {
+    /// The settings-level unit a record mutated. Data-plane records
     /// (ingest, sweeps, quota charges, epoch fences, notices) mutate no
-    /// settings and return an empty set.
-    pub fn observe(&mut self, record: &WalRecord) -> Vec<SettingsMutation> {
+    /// settings and return `None`.
+    pub fn of(record: &WalRecord) -> Option<SettingsMutation> {
         match record {
-            WalRecord::Checkpoint {
-                snapshot,
-                next_policy_id,
-                ..
-            } => {
-                self.next_policy_id = *next_policy_id;
-                self.next_preference_id = snapshot.next_preference_id;
-                vec![SettingsMutation::Everything]
-            }
-            WalRecord::AddPolicy { .. } => {
-                let id = PolicyId(self.next_policy_id);
-                self.next_policy_id += 1;
-                vec![SettingsMutation::Policy(id)]
-            }
-            WalRecord::RemovePolicy { policy } => vec![SettingsMutation::Policy(*policy)],
-            WalRecord::SubmitPreference { .. } => {
-                let id = PreferenceId(self.next_preference_id);
-                self.next_preference_id += 1;
-                vec![SettingsMutation::Preference(id)]
+            WalRecord::Checkpoint { .. } => Some(SettingsMutation::Everything),
+            WalRecord::AddPolicy { policy } => Some(SettingsMutation::Policy(policy.id)),
+            WalRecord::RemovePolicy { policy }
+            | WalRecord::SettingChoiceAssigned { policy, .. } => {
+                Some(SettingsMutation::Policy(*policy))
             }
             WalRecord::SubmitPreferenceAssigned { preference, .. } => {
-                // Router-assigned id: the record names the unit itself;
-                // the shadow allocator skips past it, like replay does.
-                self.next_preference_id = self.next_preference_id.max(preference.id.0 + 1);
-                vec![SettingsMutation::Preference(preference.id)]
-            }
-            WalRecord::SettingChoice { policy, .. } => vec![SettingsMutation::Policy(*policy)],
-            WalRecord::SettingChoiceAssigned { policy, id, .. } => {
-                self.next_preference_id = self.next_preference_id.max(id.0 + 1);
-                vec![SettingsMutation::Policy(*policy)]
+                Some(SettingsMutation::Preference(preference.id))
             }
             WalRecord::Retroactive { preference } => {
-                vec![SettingsMutation::Preference(*preference)]
+                Some(SettingsMutation::Preference(*preference))
             }
             WalRecord::Ingest { .. }
             | WalRecord::Gc { .. }
@@ -98,7 +51,7 @@ impl InvalidationTail {
             | WalRecord::SweepCommit { .. }
             | WalRecord::QuotaCharge { .. }
             | WalRecord::NewEpoch { .. }
-            | WalRecord::Notice { .. } => Vec::new(),
+            | WalRecord::Notice { .. } => None,
         }
     }
 }
@@ -114,28 +67,16 @@ mod tests {
     fn policy(id: u64) -> BuildingPolicy {
         let spatial = tippers_spatial::fixtures::dbh();
         let c = tippers_ontology::Ontology::standard().concepts().clone();
-        BuildingPolicy::new(
-            tippers_policy::PolicyId(id),
-            "p",
-            spatial.building,
-            c.occupancy,
-            c.comfort,
-        )
+        BuildingPolicy::new(PolicyId(id), "p", spatial.building, c.occupancy, c.comfort)
     }
 
     #[test]
-    fn added_units_are_named_by_the_allocator_not_the_payload() {
-        let mut tail = InvalidationTail::new();
-        // The submitted policy claims id 999; the allocator assigns 0.
-        let got = tail.observe(&WalRecord::AddPolicy {
-            policy: policy(999),
-        });
-        assert_eq!(got, vec![SettingsMutation::Policy(PolicyId(0))]);
-        let got = tail.observe(&WalRecord::AddPolicy {
-            policy: policy(999),
-        });
-        assert_eq!(got, vec![SettingsMutation::Policy(PolicyId(1))]);
-        let got = tail.observe(&WalRecord::SubmitPreference {
+    fn added_units_are_named_by_the_record() {
+        assert_eq!(
+            SettingsMutation::of(&WalRecord::AddPolicy { policy: policy(7) }),
+            Some(SettingsMutation::Policy(PolicyId(7)))
+        );
+        let got = SettingsMutation::of(&WalRecord::SubmitPreferenceAssigned {
             preference: UserPreference::new(
                 PreferenceId(42),
                 UserId(7),
@@ -144,48 +85,52 @@ mod tests {
             ),
             now: Timestamp(0),
         });
-        assert_eq!(got, vec![SettingsMutation::Preference(PreferenceId(0))]);
+        assert_eq!(got, Some(SettingsMutation::Preference(PreferenceId(42))));
     }
 
     #[test]
     fn data_plane_records_dirty_nothing() {
-        let mut tail = InvalidationTail::new();
-        assert!(tail
-            .observe(&WalRecord::Gc { now: Timestamp(5) })
-            .is_empty());
-        assert!(tail.observe(&WalRecord::NewEpoch { epoch: 3 }).is_empty());
-        assert!(tail
-            .observe(&WalRecord::Notice {
+        assert_eq!(
+            SettingsMutation::of(&WalRecord::Gc { now: Timestamp(5) }),
+            None
+        );
+        assert_eq!(
+            SettingsMutation::of(&WalRecord::NewEpoch { epoch: 3 }),
+            None
+        );
+        assert_eq!(
+            SettingsMutation::of(&WalRecord::Notice {
                 user: UserId(1),
                 now: Timestamp(9),
                 text: "hi".into(),
-            })
-            .is_empty());
+            }),
+            None
+        );
     }
 
     #[test]
     fn removals_and_choices_name_the_logged_unit() {
-        let mut tail = InvalidationTail::new();
         assert_eq!(
-            tail.observe(&WalRecord::RemovePolicy {
+            SettingsMutation::of(&WalRecord::RemovePolicy {
                 policy: PolicyId(4)
             }),
-            vec![SettingsMutation::Policy(PolicyId(4))]
+            Some(SettingsMutation::Policy(PolicyId(4)))
         );
         assert_eq!(
-            tail.observe(&WalRecord::SettingChoice {
+            SettingsMutation::of(&WalRecord::SettingChoiceAssigned {
                 user: UserId(2),
                 policy: PolicyId(6),
                 setting_key: "share".into(),
                 option_index: 1,
+                id: PreferenceId(3),
             }),
-            vec![SettingsMutation::Policy(PolicyId(6))]
+            Some(SettingsMutation::Policy(PolicyId(6)))
         );
         assert_eq!(
-            tail.observe(&WalRecord::Retroactive {
+            SettingsMutation::of(&WalRecord::Retroactive {
                 preference: PreferenceId(2)
             }),
-            vec![SettingsMutation::Preference(PreferenceId(2))]
+            Some(SettingsMutation::Preference(PreferenceId(2)))
         );
     }
 }

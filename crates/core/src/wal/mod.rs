@@ -31,7 +31,7 @@ mod record;
 use std::fmt;
 
 pub use frame::{crc32, record_boundaries, Corruption};
-pub use invalidate::{InvalidationTail, SettingsMutation};
+pub use invalidate::SettingsMutation;
 pub use io::{FaultyLog, FsLog, LogIo, MemLog};
 pub use record::WalRecord;
 

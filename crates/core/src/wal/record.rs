@@ -6,6 +6,11 @@
 //! the rows that actually survived enforcement, so replay is a pure
 //! data load and does not depend on fault-plan or sensor state that the
 //! original run consumed.
+//!
+//! Every settings record names the unit it created or changed, so a log
+//! reader never has to shadow the id allocators. The id-less preference
+//! records of earlier builds do not decode; recovery truncates at them
+//! like any foreign payload.
 
 use serde::{Deserialize, Serialize};
 use tippers_ontology::ConceptId;
@@ -34,8 +39,8 @@ pub enum WalRecord {
     },
     /// `Tippers::add_policy`.
     AddPolicy {
-        /// The policy as submitted (its id is reassigned on replay,
-        /// deterministically, exactly as it was originally).
+        /// The policy with its assigned id (replay re-runs the allocator,
+        /// which deterministically arrives at the same id).
         policy: BuildingPolicy,
     },
     /// `Tippers::remove_policy` (logged only when something was removed).
@@ -43,40 +48,22 @@ pub enum WalRecord {
         /// The removed policy's id.
         policy: PolicyId,
     },
-    /// `Tippers::submit_preference`.
-    SubmitPreference {
-        /// The preference as submitted (id reassigned on replay).
-        preference: UserPreference,
-        /// Submission time (drives conflict notifications).
-        now: Timestamp,
-    },
-    /// `Tippers::submit_preference_assigned`: a preference whose id was
-    /// allocated by the shard router rather than this engine's own
-    /// allocator. Replay preserves the id verbatim, so a rebuilt shard
-    /// re-derives exactly the ids the router handed out — the property
-    /// that keeps sharded decisions byte-identical to the unsharded
-    /// engine's.
+    /// `Tippers::submit_preference` and
+    /// `Tippers::submit_preference_assigned`: a preference with its id,
+    /// whether this engine's allocator or the shard router chose it.
+    /// Replay preserves the id verbatim, so a rebuilt shard re-derives
+    /// exactly the ids the router handed out — the property that keeps
+    /// sharded decisions byte-identical to the unsharded engine's.
     SubmitPreferenceAssigned {
         /// The preference, id included (kept on replay).
         preference: UserPreference,
         /// Submission time (drives conflict notifications).
         now: Timestamp,
     },
-    /// `Tippers::apply_setting_choice` (logged only on success).
-    SettingChoice {
-        /// The choosing user.
-        user: UserId,
-        /// The policy whose setting was chosen.
-        policy: PolicyId,
-        /// The setting key within that policy.
-        setting_key: String,
-        /// The chosen option index.
-        option_index: usize,
-    },
+    /// `Tippers::apply_setting_choice` and
     /// `Tippers::apply_setting_choice_assigned` (logged only on success):
-    /// a setting choice whose derived preference carries a router-assigned
-    /// id, preserved across replay like
-    /// [`WalRecord::SubmitPreferenceAssigned`].
+    /// a setting choice with the id of its derived preference, preserved
+    /// across replay like [`WalRecord::SubmitPreferenceAssigned`].
     SettingChoiceAssigned {
         /// The choosing user.
         user: UserId,
@@ -86,7 +73,7 @@ pub enum WalRecord {
         setting_key: String,
         /// The chosen option index.
         option_index: usize,
-        /// The router-assigned id for the derived preference.
+        /// The id of the derived preference.
         id: PreferenceId,
     },
     /// `Tippers::apply_retroactively` (logged only when rows were purged).
@@ -209,12 +196,6 @@ mod tests {
             WalRecord::Gc {
                 now: Timestamp(1234),
             },
-            WalRecord::SettingChoice {
-                user: UserId(3),
-                policy: PolicyId(1),
-                setting_key: "location-sensing".into(),
-                option_index: 2,
-            },
             WalRecord::SettingChoiceAssigned {
                 user: UserId(3),
                 policy: PolicyId(1),
@@ -261,5 +242,37 @@ mod tests {
         assert!(WalRecord::from_payload(b"{\"Unknown\":{}}").is_none());
         assert!(WalRecord::from_payload(b"\xFF\xFE not utf8").is_none());
         assert!(WalRecord::from_payload(b"42").is_none());
+    }
+
+    #[test]
+    fn id_carrying_records_retagged_to_legacy_names_are_rejected() {
+        let preference = WalRecord::SubmitPreferenceAssigned {
+            preference: UserPreference::new(
+                PreferenceId(4),
+                UserId(2),
+                Default::default(),
+                tippers_policy::Effect::Deny,
+            ),
+            now: Timestamp(10),
+        };
+        let choice = WalRecord::SettingChoiceAssigned {
+            user: UserId(3),
+            policy: PolicyId(1),
+            setting_key: "location-sensing".into(),
+            option_index: 1,
+            id: PreferenceId(41),
+        };
+        for (record, tag, legacy) in [
+            (preference, "SubmitPreferenceAssigned", "SubmitPreference"),
+            (choice, "SettingChoiceAssigned", "SettingChoice"),
+        ] {
+            let payload = String::from_utf8(record.to_payload()).unwrap();
+            assert!(payload.starts_with(&format!("{{\"{tag}\":")), "{payload}");
+            let retagged = payload.replacen(tag, legacy, 1);
+            assert!(
+                WalRecord::from_payload(retagged.as_bytes()).is_none(),
+                "legacy tag `{legacy}` must not decode"
+            );
+        }
     }
 }

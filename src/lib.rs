@@ -61,8 +61,7 @@ pub use tippers_spatial as spatial;
 /// The most commonly used items, for a one-line import.
 pub mod prelude {
     pub use tippers::{
-        DataRequest, EnforcerKind, ShardSpec, ShardedTippers, SubjectSelector, Tippers,
-        TippersConfig,
+        DataRequest, ShardSpec, ShardedTippers, SubjectSelector, Tippers, TippersConfig,
     };
     pub use tippers_iota::{Iota, SensitivityProfile};
     pub use tippers_irr::{DiscoveryBus, NetworkConfig};

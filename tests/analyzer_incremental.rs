@@ -1,10 +1,10 @@
-//! WAL-driven incremental re-linting: the settings-mutation tail that
-//! `tippers::InvalidationTail` derives from log records names exactly
-//! the units the analyzer must re-check, and the incrementally spliced
+//! WAL-driven incremental re-linting: the settings mutation that
+//! `tippers::SettingsMutation::of` reads off each log record names exactly
+//! the unit the analyzer must re-check, and the incrementally spliced
 //! report always matches a full re-analysis of the mutated deployment.
 
 use proptest::prelude::*;
-use tippers::{InvalidationTail, SettingsMutation, WalRecord};
+use tippers::{SettingsMutation, WalRecord};
 use tippers_analyzer::{analyze, Analyzer, DeploymentCorpus, UnitId};
 use tippers_ontology::Ontology;
 use tippers_policy::{
@@ -22,22 +22,16 @@ fn unit(m: SettingsMutation) -> UnitId {
     }
 }
 
-/// Mirrors a WAL record onto the linted corpus, using the tail's
-/// allocator-derived ids (the record payloads carry pre-assignment ids).
-fn apply(corpus: &mut DeploymentCorpus, record: &WalRecord, muts: &[SettingsMutation]) {
-    match (record, muts) {
-        (WalRecord::AddPolicy { policy }, [SettingsMutation::Policy(id)]) => {
-            let mut p = policy.clone();
-            p.id = *id;
-            corpus.policies.push(p);
-        }
-        (WalRecord::RemovePolicy { policy }, _) => {
+/// Mirrors a WAL record onto the linted corpus (settings records carry
+/// their assigned ids).
+fn apply(corpus: &mut DeploymentCorpus, record: &WalRecord) {
+    match record {
+        WalRecord::AddPolicy { policy } => corpus.policies.push(policy.clone()),
+        WalRecord::RemovePolicy { policy } => {
             corpus.policies.retain(|p| p.id != *policy);
         }
-        (WalRecord::SubmitPreference { preference, .. }, [SettingsMutation::Preference(id)]) => {
-            let mut a = preference.clone();
-            a.id = *id;
-            corpus.preferences.push(a);
+        WalRecord::SubmitPreferenceAssigned { preference, .. } => {
+            corpus.preferences.push(preference.clone());
         }
         // Setting choices and retroactive purges dirty a unit without
         // changing the deployment spec — the analyzer must tolerate the
@@ -53,11 +47,10 @@ fn a_wal_tail_drives_incremental_relint() {
     let c = corpus.ontology.concepts().clone();
     let mut analyzer = Analyzer::new(corpus.clone());
     let mut mirror = corpus;
-    let mut tail = InvalidationTail::new();
 
     let sharing = {
         let mut p = BuildingPolicy::new(
-            PolicyId(999),
+            PolicyId(1),
             "WiFi share",
             dbh.building,
             c.wifi_association,
@@ -69,7 +62,7 @@ fn a_wal_tail_drives_incremental_relint() {
     let records = vec![
         WalRecord::AddPolicy {
             policy: BuildingPolicy::new(
-                PolicyId(999),
+                PolicyId(0),
                 "Comfort sensing",
                 dbh.building,
                 c.occupancy,
@@ -77,7 +70,7 @@ fn a_wal_tail_drives_incremental_relint() {
             ),
         },
         WalRecord::AddPolicy { policy: sharing },
-        WalRecord::SubmitPreference {
+        WalRecord::SubmitPreferenceAssigned {
             preference: UserPreference::new(
                 PreferenceId(0),
                 UserId(3),
@@ -89,11 +82,12 @@ fn a_wal_tail_drives_incremental_relint() {
             ),
             now: Timestamp(10),
         },
-        WalRecord::SettingChoice {
+        WalRecord::SettingChoiceAssigned {
             user: UserId(3),
             policy: PolicyId(0),
             setting_key: "share".into(),
             option_index: 0,
+            id: PreferenceId(1),
         },
         WalRecord::RemovePolicy {
             policy: PolicyId(1),
@@ -101,14 +95,12 @@ fn a_wal_tail_drives_incremental_relint() {
         WalRecord::Gc { now: Timestamp(99) },
     ];
     for record in records {
-        let muts = tail.observe(&record);
-        apply(&mut mirror, &record, &muts);
-        let changed: Vec<UnitId> = muts.into_iter().map(unit).collect();
-        if changed.is_empty() {
+        apply(&mut mirror, &record);
+        let Some(changed) = SettingsMutation::of(&record).map(unit) else {
             // Data-plane record: nothing to re-lint.
             continue;
-        }
-        analyzer.update(mirror.clone(), &changed);
+        };
+        analyzer.update(mirror.clone(), &[changed]);
         assert_eq!(
             analyzer.report(),
             &analyze(&mirror),
@@ -140,7 +132,8 @@ proptest! {
 
         let mut analyzer = Analyzer::new(corpus.clone());
         let mut mirror = corpus;
-        let mut tail = InvalidationTail::new();
+        // The engine's allocators: every settings record carries its id.
+        let (mut next_policy, mut next_preference) = (0u64, 0u64);
         let mut state = seed;
         let mut next = || {
             state = state
@@ -151,8 +144,9 @@ proptest! {
         for step in 0..steps {
             let record = match next() % 5 {
                 0 | 1 => {
+                    next_policy += 1;
                     let mut p = BuildingPolicy::new(
-                        PolicyId(777),
+                        PolicyId(next_policy - 1),
                         format!("policy {step}"),
                         spaces[next() % spaces.len()],
                         datas[next() % datas.len()],
@@ -163,31 +157,37 @@ proptest! {
                     }
                     WalRecord::AddPolicy { policy: p }
                 }
-                2 => WalRecord::SubmitPreference {
-                    preference: UserPreference::new(
-                        PreferenceId(777),
-                        UserId((next() % 4) as u64),
-                        PreferenceScope {
-                            data: Some(datas[next() % datas.len()]),
-                            ..Default::default()
-                        },
-                        if next() % 2 == 0 { Effect::Deny } else { Effect::Allow },
-                    ),
-                    now: Timestamp(step as i64),
-                },
+                2 => {
+                    next_preference += 1;
+                    WalRecord::SubmitPreferenceAssigned {
+                        preference: UserPreference::new(
+                            PreferenceId(next_preference - 1),
+                            UserId((next() % 4) as u64),
+                            PreferenceScope {
+                                data: Some(datas[next() % datas.len()]),
+                                ..Default::default()
+                            },
+                            if next() % 2 == 0 { Effect::Deny } else { Effect::Allow },
+                        ),
+                        now: Timestamp(step as i64),
+                    }
+                }
                 3 => WalRecord::RemovePolicy {
                     policy: PolicyId((next() % (step + 2)) as u64),
                 },
-                _ => WalRecord::SettingChoice {
-                    user: UserId(1),
-                    policy: PolicyId((next() % (step + 2)) as u64),
-                    setting_key: "share".into(),
-                    option_index: 0,
-                },
+                _ => {
+                    next_preference += 1;
+                    WalRecord::SettingChoiceAssigned {
+                        user: UserId(1),
+                        policy: PolicyId((next() % (step + 2)) as u64),
+                        setting_key: "share".into(),
+                        option_index: 0,
+                        id: PreferenceId(next_preference - 1),
+                    }
+                }
             };
-            let muts = tail.observe(&record);
-            apply(&mut mirror, &record, &muts);
-            let changed: Vec<UnitId> = muts.into_iter().map(unit).collect();
+            apply(&mut mirror, &record);
+            let changed: Vec<UnitId> = SettingsMutation::of(&record).map(unit).into_iter().collect();
             analyzer.update(mirror.clone(), &changed);
             prop_assert_eq!(analyzer.report(), &analyze(&mirror));
         }

@@ -398,3 +398,74 @@ fn checkpoint_with_inconsistent_policy_ids_fails_replay() {
         WalError::Snapshot(SnapshotError::Inconsistent(_))
     ));
 }
+
+/// Every settings record a durable engine writes names the unit its API
+/// call returned, whether this engine's allocator or the caller chose the
+/// id — so log readers (replay, replication, incremental relint) never
+/// shadow an allocator.
+#[test]
+fn settings_records_name_the_units_their_calls_returned() {
+    let ontology = Ontology::standard();
+    let building = dbh();
+    let log = MemLog::new();
+    let (mut bms, _) = Tippers::open_with(
+        Box::new(log.clone()),
+        ontology.clone(),
+        building.model.clone(),
+        TippersConfig::default(),
+    )
+    .expect("fresh log opens");
+
+    let first = bms.add_policy(occupancy_analytics_policy(building.building, &ontology));
+    let second = bms.add_policy(
+        catalog::policy1_thermostat(PolicyId(99), building.building, &ontology)
+            .with_setting(BuildingPolicy::location_setting()),
+    );
+    let submitted = bms.submit_preference(deny_occupancy(UserId(1), &ontology), Timestamp(10));
+    let chosen = bms
+        .apply_setting_choice(UserId(2), second, "location-sensing", 2)
+        .expect("setting exists");
+    let assigned = bms.submit_preference_assigned(
+        UserPreference {
+            id: PreferenceId(40),
+            ..deny_occupancy(UserId(3), &ontology)
+        },
+        Timestamp(20),
+    );
+    assert_eq!(
+        (first, second, submitted, chosen, assigned),
+        (
+            PolicyId(0),
+            PolicyId(1),
+            PreferenceId(0),
+            PreferenceId(1),
+            PreferenceId(40)
+        )
+    );
+    drop(bms);
+
+    let (_, records, _) = Wal::open(Box::new(log), WalConfig::default()).expect("log reopens");
+    let named: Vec<String> = records
+        .iter()
+        .map(|record| match record {
+            WalRecord::AddPolicy { policy } => format!("policy {}", policy.id.0),
+            WalRecord::SubmitPreferenceAssigned { preference, .. } => {
+                format!("preference {}", preference.id.0)
+            }
+            WalRecord::SettingChoiceAssigned { policy, id, .. } => {
+                format!("choice {} under policy {}", id.0, policy.0)
+            }
+            other => panic!("unexpected record {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        named,
+        [
+            "policy 0",
+            "policy 1",
+            "preference 0",
+            "choice 1 under policy 1",
+            "preference 40",
+        ]
+    );
+}

@@ -1,9 +1,10 @@
 //! Multi-building campus: two buildings with separate BMS instances and
-//! IRRs on one discovery bus; an IoTA roams between them, and enforcement
-//! stays consistent across the two enforcer implementations.
+//! IRRs on one discovery bus; an IoTA roams between them, and the facade's
+//! decisions match the naive enforcer, the executable specification.
 
 use privacy_aware_buildings::prelude::*;
-use tippers_policy::{BuildingPolicy, PolicyId, PreferenceId, Timestamp};
+use tippers::{Enforcer, NaiveEnforcer, RequestFlow};
+use tippers_policy::{BuildingPolicy, DataAction, PolicyId, PreferenceId, Timestamp};
 use tippers_spatial::{SpaceKind, SpatialModel};
 
 /// One campus model holding two buildings, plus each building's offices.
@@ -78,80 +79,95 @@ fn roaming_iota_sees_each_buildings_policies() {
     assert!(iota.review(&again, &ontology, now + 1200).is_empty());
 }
 
-/// The facade produces identical responses under both enforcer kinds —
-/// D1's equivalence, checked at the whole-system level rather than the
-/// unit level.
+/// Every facade decision equals [`NaiveEnforcer::decide`] over the
+/// facade's own policies and preferences — D1's equivalence, checked at
+/// the whole-system level rather than the unit level.
 #[test]
-fn facade_equivalent_under_both_enforcers() {
+fn facade_decisions_match_the_naive_enforcer() {
     let ontology = Ontology::standard();
     let building = dbh();
-    let run = |kind: EnforcerKind| {
-        let mut bms = Tippers::new(
-            ontology.clone(),
-            building.model.clone(),
-            TippersConfig {
-                enforcer: kind,
-                ..TippersConfig::default()
-            },
-        );
-        bms.add_policy(catalog::policy2_emergency_location(
+    let mut bms = Tippers::new(
+        ontology.clone(),
+        building.model.clone(),
+        TippersConfig::default(),
+    );
+    bms.add_policy(catalog::policy2_emergency_location(
+        PolicyId(0),
+        building.building,
+        &ontology,
+    ));
+    bms.add_policy(
+        BuildingPolicy::new(
             PolicyId(0),
+            "Concierge location",
             building.building,
-            &ontology,
-        ));
-        bms.add_policy(
-            BuildingPolicy::new(
-                PolicyId(0),
-                "Concierge location",
-                building.building,
-                ontology.concepts().location_room,
-                ontology.concepts().navigation,
-            )
-            .with_actions(tippers_policy::ActionSet::ALL)
-            .with_service(catalog::services::concierge()),
-        );
-        for user in 0..6u64 {
-            if user % 2 == 0 {
-                bms.submit_preference(
-                    catalog::preference2_no_location(PreferenceId(0), UserId(user), &ontology),
-                    Timestamp::at(0, 8, 0),
-                );
-            }
-            if user % 3 == 0 {
-                bms.submit_preference(
-                    catalog::preference3_concierge_location(
-                        PreferenceId(0),
-                        UserId(user),
-                        &ontology,
-                    ),
-                    Timestamp::at(0, 8, 0),
-                );
-            }
+            ontology.concepts().location_room,
+            ontology.concepts().navigation,
+        )
+        .with_actions(tippers_policy::ActionSet::ALL)
+        .with_service(catalog::services::concierge()),
+    );
+    for user in 0..6u64 {
+        if user % 2 == 0 {
+            bms.submit_preference(
+                catalog::preference2_no_location(PreferenceId(0), UserId(user), &ontology),
+                Timestamp::at(0, 8, 0),
+            );
         }
-        let c = ontology.concepts();
-        let mut decisions = Vec::new();
-        for user in 0..6u64 {
-            for (purpose, service) in [
-                (c.navigation, catalog::services::concierge()),
-                (c.delivery, catalog::services::food_delivery()),
-                (c.emergency_response, catalog::services::emergency()),
-            ] {
-                let request = tippers::DataRequest {
-                    service,
-                    purpose,
-                    data: c.location_room,
-                    subjects: tippers::SubjectSelector::One(UserId(user)),
-                    from: Timestamp::at(0, 0, 0),
-                    to: Timestamp::at(1, 0, 0),
-                    requester_space: None,
-                    priority: Default::default(),
-                    deadline: None,
-                };
-                let response = bms.handle_request(&request, Timestamp::at(0, 12, 0));
-                decisions.push(response.results[0].decision.clone());
-            }
+        if user % 3 == 0 {
+            bms.submit_preference(
+                catalog::preference3_concierge_location(PreferenceId(0), UserId(user), &ontology),
+                Timestamp::at(0, 8, 0),
+            );
         }
-        decisions
-    };
-    assert_eq!(run(EnforcerKind::Naive), run(EnforcerKind::Indexed));
+    }
+    let spec = NaiveEnforcer::new(
+        bms.policies().to_vec(),
+        bms.preferences().to_vec(),
+        TippersConfig::default().strategy,
+    );
+    let c = ontology.concepts();
+    let now = Timestamp::at(0, 12, 0);
+    let (mut permits, mut total) = (0, 0);
+    for user in 0..6u64 {
+        for (purpose, service) in [
+            (c.navigation, catalog::services::concierge()),
+            (c.delivery, catalog::services::food_delivery()),
+            (c.emergency_response, catalog::services::emergency()),
+        ] {
+            let request = tippers::DataRequest {
+                service: service.clone(),
+                purpose,
+                data: c.location_room,
+                subjects: tippers::SubjectSelector::One(UserId(user)),
+                from: Timestamp::at(0, 0, 0),
+                to: Timestamp::at(1, 0, 0),
+                requester_space: None,
+                priority: Default::default(),
+                deadline: None,
+            };
+            let response = bms.handle_request(&request, now);
+            // The request path's flow for an unlocated subject.
+            let flow = RequestFlow {
+                subject: UserId(user),
+                subject_group: bms.group_of(UserId(user)),
+                data: c.location_room,
+                purpose,
+                service: Some(service),
+                action: DataAction::Share,
+                time: now,
+                subject_space: None,
+                requester_space: None,
+                room_occupied: None,
+            };
+            let expected = spec.decide(&flow, &ontology, &building.model);
+            assert_eq!(response.results[0].decision, expected, "user {user}");
+            permits += usize::from(expected.permits());
+            total += 1;
+        }
+    }
+    assert!(
+        0 < permits && permits < total,
+        "both permits and denials are compared"
+    );
 }
