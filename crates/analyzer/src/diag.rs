@@ -75,11 +75,11 @@ pub enum LintCode {
     /// carries a witness path: the collecting source, the rule chain, and
     /// the sharing sink.
     UndeclaredPurposeFlow,
-    /// `TA014` — uncompilable construct: something the upcoming policy
-    /// compiler cannot flatten into finite decision tables — an unbounded
-    /// runtime-context guard (`requester_nearby` ranges over continuous
-    /// positions), or a cycle in the ontology's inference rules (the
-    /// compiler cannot stratify them).
+    /// `TA014` — uncompilable construct: something no finite decision
+    /// table can hold — an unbounded runtime-context guard
+    /// (`requester_nearby` ranges over continuous positions, so it is
+    /// evaluated, interpreted, on every request it matches), or a cycle
+    /// in the ontology's inference rules (they cannot be stratified).
     Uncompilable,
     /// `TA015` — unused suppression: a `"lint-allow"` entry (per-document)
     /// or corpus/CLI `--allow` code that suppressed nothing in this run.

@@ -1,17 +1,18 @@
 //! TA014 — compilability.
 //!
-//! The paper's enforcement path compiles policies into the IoT broker's
-//! decision tables; two declarations defeat that compilation. A
+//! Two declarations resist reduction to finite decision tables. A
 //! `requester_nearby` condition ranges over *continuous requester
-//! positions* — the compiler cannot flatten it into a finite table, so
-//! the policy falls back to interpreted evaluation on every request
-//! (correct, but it silently forfeits the compiled fast path: a
-//! warning). And a rule base whose inference rules form a cycle cannot
-//! be stratified at all — closure computation still terminates (updates
+//! positions*, so no finite table can hold it: the enforcer evaluates it,
+//! interpreted, on every request the policy or preference matches, which
+//! costs a requester-position check per decision (correct, but priced per
+//! request: a warning). This reproduction has no compiled decision path —
+//! every condition is interpreted — so the warning marks the conditions
+//! that could never leave per-request evaluation, not a fast path they
+//! forfeit. And a rule base whose inference rules form a cycle cannot be
+//! stratified at all — closure computation still terminates (updates
 //! require strictly increasing confidence) but the rule set has no
-//! well-founded evaluation order for a one-pass compiler, so each cycle
-//! is an **error** pinned to `/ontology/rules` with the participating
-//! rule names as evidence.
+//! well-founded evaluation order, so each cycle is an **error** pinned to
+//! `/ontology/rules` with the participating rule names as evidence.
 //!
 //! Cycles are global facts (computed once by the fact builder via
 //! Tarjan's SCC over the rule-dependency graph); the condition check is
@@ -52,7 +53,7 @@ impl Pass for Compile {
                             "/ontology/rules",
                             format!(
                                 "inference rules {} form a cycle: the rule base cannot \
-                                 be stratified into a one-pass compilation order",
+                                 be stratified into a one-pass evaluation order",
                                 cycle
                                     .iter()
                                     .map(|r| format!("`{r}`"))
@@ -73,9 +74,9 @@ impl Pass for Compile {
                             format!("/policies/{}/condition/requester_nearby", p.id.0),
                             format!(
                                 "{} (`{}`) guards on requester_nearby, which ranges over \
-                                 continuous requester positions: the policy compiler \
-                                 cannot flatten it into a finite decision table and falls \
-                                 back to per-request interpretation",
+                                 continuous requester positions: no finite decision \
+                                 table can hold it, so it costs interpreted evaluation \
+                                 on every request it matches",
                                 p.id, p.name
                             ),
                         ));
@@ -91,9 +92,9 @@ impl Pass for Compile {
                             format!("/preferences/{}/scope/condition/requester_nearby", a.id.0),
                             format!(
                                 "{} guards on requester_nearby, which ranges over \
-                                 continuous requester positions: the policy compiler \
-                                 cannot flatten it into a finite decision table and falls \
-                                 back to per-request interpretation",
+                                 continuous requester positions: no finite decision \
+                                 table can hold it, so it costs interpreted evaluation \
+                                 on every request it matches",
                                 a.id
                             ),
                         ));

@@ -1,13 +1,18 @@
 //! Tamper-evident audit chain: HMAC-linked records, sealed segments.
 //!
-//! The plain [`crate::AuditLog`] is honest but defenseless — anyone holding
-//! the process image (or the snapshot file) could rewrite history. The
-//! chain makes rewriting *detectable*: every appended record carries the
-//! MAC of its predecessor inside its own MAC, so mutating, dropping,
-//! swapping or truncating any record breaks verification of everything
-//! after it. Full segments seal under a signed root and archive through
-//! the WAL's [`crate::wal::LogIo`] backend, where the resilience harness
-//! can flip their bits and verification must notice.
+//! The chain is the engine's decision record: every audited decision and
+//! deletion certificate is journaled here once, and
+//! [`crate::Tippers::decisions`] reads the decisions back out of it. A
+//! plain list would be honest but defenseless — anyone holding the
+//! process image could rewrite history. The chain makes rewriting
+//! *detectable*: every appended record carries the MAC of its predecessor
+//! inside its own MAC, so mutating, dropping, swapping or truncating any
+//! record breaks verification of everything after it. Full segments seal
+//! under a signed root and archive through the WAL's
+//! [`crate::wal::LogIo`] backend, where the resilience harness can flip
+//! their bits and verification must notice; a checkpoint also seals the
+//! open run, however short, so every decision made before it is durable
+//! in the archive (the snapshot itself carries no decisions).
 //!
 //! The MAC key is a deployment parameter; this reproduction derives a
 //! fixed key from a domain-separation string because there is no key
@@ -63,7 +68,8 @@ pub struct ChainedRecord {
     pub mac: String,
 }
 
-/// A sealed, immutable run of [`SEGMENT_RECORDS`] chained records.
+/// A sealed, immutable run of chained records: [`SEGMENT_RECORDS`] of
+/// them, or fewer when a checkpoint sealed the open run early.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SealedSegment {
     /// Sequence number of the first record.
@@ -136,7 +142,9 @@ impl std::fmt::Display for ChainFault {
 /// Node-local accountability state: the chain is *about* the replicated
 /// audit events but is not itself replicated or snapshotted — each node
 /// journals what it witnessed, and recovery resumes after the last sealed
-/// segment rather than reconstructing unsealed history.
+/// segment rather than reconstructing unsealed history (a checkpoint
+/// seals the open run, so nothing before the last checkpoint is
+/// unsealed).
 ///
 /// # Examples
 ///
@@ -253,24 +261,34 @@ impl AuditChain {
         assert!(cap > 0, "segment capacity must be positive");
         let mut out = Vec::new();
         while self.open.len() >= cap {
-            let records: Vec<ChainedRecord> = self.open.drain(..cap).collect();
-            let first_seq = records[0].seq;
-            let last = records.last().expect("cap > 0");
-            let root = segment_root(first_seq, last.seq, &last.mac, &self.prev_root);
-            let segment = SealedSegment {
-                first_seq,
-                last_seq: last.seq,
-                prev_link: records[0].prev.clone(),
-                prev_root: self.prev_root.clone(),
-                records,
-                root,
-            };
-            self.base = segment.records.last().expect("cap > 0").mac.clone();
-            self.prev_root = segment.root.clone();
-            self.sealed += 1;
-            out.push(segment);
+            out.push(self.seal_run(cap));
         }
         out
+    }
+
+    /// Seals the whole open run, however short, into one segment (`None`
+    /// when nothing is open): a checkpoint's way of making every record
+    /// appended so far durable without waiting for a full segment.
+    pub fn seal_open(&mut self) -> Option<SealedSegment> {
+        (!self.open.is_empty()).then(|| self.seal_run(self.open.len()))
+    }
+
+    /// Seals the oldest `len` open records (`0 < len <= open.len()`).
+    fn seal_run(&mut self, len: usize) -> SealedSegment {
+        let records: Vec<ChainedRecord> = self.open.drain(..len).collect();
+        let first = &records[0];
+        let last = records.last().expect("len > 0");
+        let root = segment_root(first.seq, last.seq, &last.mac, &self.prev_root);
+        self.base = last.mac.clone();
+        self.sealed += 1;
+        SealedSegment {
+            first_seq: first.seq,
+            last_seq: last.seq,
+            prev_link: first.prev.clone(),
+            prev_root: std::mem::replace(&mut self.prev_root, root.clone()),
+            records,
+            root,
+        }
     }
 
     /// Resumes a recovered chain directly after an archived segment: new
@@ -498,6 +516,25 @@ mod tests {
             chain.verify_archive(&rerooted),
             Err(ChainFault::Root { .. })
         ));
+    }
+
+    #[test]
+    fn sealing_the_open_run_early_keeps_the_lineage() {
+        let mut chain = chain_with(70);
+        let mut segments = chain.seal(64);
+        segments.extend(chain.seal_open());
+        assert_eq!(segments.len(), 2);
+        assert_eq!(segments[1].records.len(), 6);
+        assert!(chain.seal_open().is_none(), "nothing left to seal");
+        chain.append("{\"event\":\"after\"}".to_owned());
+        segments.extend(chain.seal_open());
+        assert_eq!(chain.sealed_segments(), 3);
+        assert_eq!(chain.verify_archive(&segments).unwrap(), 71);
+
+        let mut recovered = AuditChain::new();
+        recovered.resume_after(&segments[2]);
+        assert_eq!(recovered.next_seq(), 71);
+        assert_eq!(recovered.verify_archive(&segments).unwrap(), 71);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`PreferenceManager`] — user preferences received from IoTAs (step 8).
 //! * Request Manager — [`Tippers::handle_request`] (steps 9–10), deciding
 //!   each flow through an [`Enforcer`].
-//! * [`AuditLog`] — decisions and user notifications.
+//! * [`AuditChain`] — the tamper-evident decision record, read back through
+//!   [`Tippers::decisions`]; [`AuditLog`] — user notifications and deletion
+//!   certificates.
 //!
 //! The enforcement engine comes in two interchangeable implementations
 //! ([`NaiveEnforcer`] and [`IndexedEnforcer`]) to quantify §V.C's claim

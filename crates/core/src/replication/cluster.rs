@@ -19,7 +19,6 @@ use tippers_spatial::SpatialModel;
 use super::link::{Ack, Frame, ReplicationLink};
 use super::node::Node;
 use super::settings::{divergent_choices, resolve, MergeWinner, VersionedChoice};
-use crate::audit::AuditLog;
 use crate::enforce::EnforcementDecision;
 use crate::request::{DataRequest, DataResponse};
 use crate::snapshot::Snapshot;
@@ -219,12 +218,6 @@ impl Cluster {
     /// A node's durable frame history (for differential harnesses).
     pub fn frames(&self, node: usize) -> &[Frame] {
         &self.nodes[node].frames
-    }
-
-    /// A node's served-decision audit: the request-path decisions this
-    /// node actually answered (node-local; not part of replicated state).
-    pub fn served_audit(&self, node: usize) -> Option<&AuditLog> {
-        self.nodes[node].bms.served_audit()
     }
 
     /// A node's replicated-state snapshot (post-heal convergence is
@@ -791,8 +784,10 @@ fn common_prefix_len(a: &[Frame], b: &[Frame]) -> usize {
 /// must answer every request exactly as this reference does.
 ///
 /// The reference runs with a disarmed fault plan (replay is logical and
-/// plan-independent) and the same read-audit divert as a cluster node,
-/// so its replicated state is comparable snapshot-for-snapshot.
+/// plan-independent) and the same record tap as a cluster node, so it
+/// queues no override notices and its replicated state is comparable
+/// snapshot-for-snapshot. Its decisions go to its own audit chain
+/// ([`Tippers::decisions`]).
 ///
 /// # Errors
 ///

@@ -26,6 +26,12 @@
 //!   privacy-max tiebreak (the more restrictive option wins an exact
 //!   tie); the superseded user gets a durable re-notification, and every
 //!   node converges to an identical [`crate::Snapshot`].
+//!
+//! Documented divergences from a standalone BMS: each node journals the
+//! decisions it serves on its own audit chain (node-local, not part of
+//! the snapshot), and nodes queue no override notice when a mandatory
+//! policy overrides a subject's preference on a read — notifications are
+//! replicated state, so only record-derived notices reach the subject.
 
 mod cluster;
 mod link;

@@ -49,8 +49,10 @@ pub(super) struct Node {
 
 impl Node {
     /// Boots a fresh node: empty log, registered occupants, record tap
-    /// and read-audit divert enabled (every node's decision audit is a
-    /// pure function of its record sequence).
+    /// enabled. The tap also keeps request-path override notices out of
+    /// the node's notifications, so its replicated state is a pure
+    /// function of its record sequence; the decisions it serves are
+    /// journaled on its own audit chain.
     pub(super) fn open(
         id: usize,
         ontology: &Ontology,
@@ -91,7 +93,6 @@ impl Node {
         )?;
         bms.register_occupants(occupants);
         bms.enable_record_tap();
-        bms.divert_read_audit();
         Ok(bms)
     }
 
@@ -290,8 +291,8 @@ impl Node {
     }
 
     /// Full state transfer: discards the node's log (and any divergent
-    /// suffix plus its node-local served audit) and replays `history`
-    /// from genesis.
+    /// suffix plus its node-local audit chain) and replays `history` from
+    /// genesis.
     pub(super) fn rebuild(
         &mut self,
         history: &[Frame],

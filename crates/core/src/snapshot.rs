@@ -1,11 +1,17 @@
 //! Versioned snapshot and recovery of the BMS's durable state.
 //!
-//! The paper's BMS holds three things that must survive a crash: the
-//! observation store (captured data the building is accountable for), the
-//! users' preferences (their privacy choices — losing these silently
-//! re-opens flows they opted out of), and the audit log (the evidence
-//! trail). A [`Snapshot`] captures all three; [`Tippers::from_snapshot`]
-//! rebuilds a BMS from one at construction time.
+//! The paper's BMS holds state that must survive a crash: the observation
+//! store (captured data the building is accountable for), the users'
+//! preferences (their privacy choices — losing these silently re-opens
+//! flows they opted out of), the notifications still owed to their IoTAs,
+//! the deletion certificates, and the disclosure-quota counters. A
+//! [`Snapshot`] captures them; [`Tippers::from_snapshot`] rebuilds a BMS
+//! from one at construction time.
+//!
+//! Audited decisions are not in a snapshot: the tamper-evident audit
+//! chain is their one record, and a checkpoint seals its open run into
+//! the archive before writing the snapshot. Version 2 is the first
+//! format without decision entries; version 1 snapshots are refused.
 //!
 //! Policies are deliberately *not* snapshotted: they are administrative
 //! configuration the building operator re-applies on startup (step 1 of
@@ -23,7 +29,7 @@ use crate::quota::QuotaLedger;
 use crate::store::Store;
 
 /// The snapshot format version this build writes and accepts.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// The BMS's durable state, serializable for crash recovery.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,7 +43,8 @@ pub struct Snapshot {
     /// The preference-id allocator's next value (so recovered BMSs never
     /// reissue an id already referenced by audit records).
     pub next_preference_id: u64,
-    /// The audit log, including undelivered user notifications.
+    /// Undelivered user notifications and deletion certificates; never
+    /// decision entries (restore refuses a snapshot carrying any).
     pub audit: AuditLog,
     /// Disclosure-quota counters (`default` so snapshots written before
     /// quotas existed still recover — to empty budgets, which is the

@@ -122,7 +122,7 @@ fn main() {
         mary,
         Timestamp::at(0, 12, 0),
     );
-    for e in bms.audit().entries() {
+    for e in bms.decisions().expect("the decision record verifies") {
         println!(
             "  {} {} {} -> {:?} ({:?})",
             e.time,

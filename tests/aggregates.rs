@@ -181,5 +181,5 @@ fn aggregate_decisions_are_audited() {
     let (mut bms, building) = bms_with_cohort(6);
     bms.handle_aggregate(&analytics_request(&bms, &building), Timestamp::at(0, 10, 0));
     // One audit entry per distinct subject.
-    assert_eq!(bms.audit().entries().len(), 6);
+    assert_eq!(bms.decisions().expect("decision record").len(), 6);
 }

@@ -123,7 +123,8 @@ fn exhausted_budget_denies_fail_closed_and_is_audited() {
 
     // The denial is audited like any other decision — and journaled on
     // the tamper-evident chain with it.
-    let last = bms.audit().entries().last().expect("audited");
+    let decisions = bms.decisions().expect("the decision record verifies");
+    let last = decisions.last().expect("audited");
     assert_eq!(last.subject, user);
     assert_eq!(last.basis, DecisionBasis::QuotaExceeded);
     bms.verify_audit_chain().expect("chain verifies");

@@ -198,8 +198,8 @@ fn storm_sheds_fail_closed_and_emergency_survives() {
     );
     // Every shed produced a typed Overload audit record.
     let audited_sheds = bms
-        .audit()
-        .entries()
+        .decisions()
+        .expect("the decision record verifies")
         .iter()
         .filter(|e| e.basis == DecisionBasis::Overload)
         .count();

@@ -167,6 +167,7 @@ fn faulty_run_permits_are_a_subset_of_healthy_permits() {
         .map(|o| (o.wave, o.request, o.user))
         .collect();
 
+    let faulty_decisions = faulty_bms.decisions().expect("decision record");
     let mut extra_denials = 0usize;
     for (h, f) in healthy.iter().zip(&faulty) {
         assert_eq!((h.wave, h.request, h.user), (f.wave, f.request, f.user));
@@ -196,9 +197,7 @@ fn faulty_run_permits_are_a_subset_of_healthy_permits() {
                 "a fail-closed denial must ride in a degraded response"
             );
             assert!(
-                faulty_bms
-                    .audit()
-                    .entries()
+                faulty_decisions
                     .iter()
                     .any(|e| e.subject == f.user && e.basis == DecisionBasis::InternalError),
                 "extra denial for {:?} has no InternalError audit record",
@@ -431,8 +430,8 @@ fn promoted_replica_serves_byte_identical_decisions_after_failover() {
         .expect("setting choice");
     assert!(matches!(outcome, WriteOutcome::Committed { .. }));
 
-    // The old primary serves the full request grid; its served-decision
-    // audit is the reference transcript.
+    // The old primary serves the full request grid; its decision record
+    // is the reference transcript.
     let at = Timestamp::at(0, 10, 30);
     let mut requests = Vec::new();
     for &user in &users {
@@ -463,10 +462,9 @@ fn promoted_replica_serves_byte_identical_decisions_after_failover() {
         cluster.read_from(0, request, at).expect("primary serves");
     }
     let served = cluster
-        .served_audit(0)
-        .expect("read audit diverted")
-        .entries()
-        .to_vec();
+        .node_bms(0)
+        .decisions()
+        .expect("primary's decision record");
     let reference = serde_json::to_string(&served)
         .expect("serialize reference audit")
         .into_bytes();
@@ -494,10 +492,9 @@ fn promoted_replica_serves_byte_identical_decisions_after_failover() {
             .expect("new primary serves");
     }
     let served = cluster
-        .served_audit(candidate)
-        .expect("read audit diverted")
-        .entries()
-        .to_vec();
+        .node_bms(candidate)
+        .decisions()
+        .expect("promoted replica's decision record");
     let replayed = serde_json::to_string(&served)
         .expect("serialize replayed audit")
         .into_bytes();
