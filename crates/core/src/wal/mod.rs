@@ -434,7 +434,8 @@ impl Wal {
     }
 
     /// Writes an immutable auxiliary blob (e.g. a sealed audit segment)
-    /// into the log directory and syncs it. Archive files share the
+    /// into the log directory and syncs it, first discarding whatever an
+    /// earlier failed write of the same name left. Archive files share the
     /// [`LogIo`] backend — and therefore its injectable failure modes —
     /// but are invisible to recovery's segment scan (non-`wal-*` names are
     /// skipped) and to checkpoint compaction (which removes only live log
@@ -448,6 +449,9 @@ impl Wal {
             parse_segment_name(name).is_none() && !name.ends_with(".tmp"),
             "archive names must not collide with log segments"
         );
+        if self.io.durable_len(name).is_ok() {
+            self.io.truncate(name, 0)?;
+        }
         self.io.append(name, bytes)?;
         self.io.sync(name)?;
         Ok(())

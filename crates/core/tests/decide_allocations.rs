@@ -2,11 +2,8 @@
 //! the ontology's memoized closures are warm, `decide` makes no heap
 //! allocation, whichever way the decision goes.
 //!
-//! Allocations are counted per thread by a counting global allocator, so
-//! other tests running in parallel cannot disturb the count.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! Allocations are counted per thread by the counting global allocator in
+//! `common`, so other tests running in parallel cannot disturb the count.
 
 use tippers::{DecisionBasis, Enforcer, IndexedEnforcer, RequestFlow};
 use tippers_ontology::Ontology;
@@ -16,51 +13,10 @@ use tippers_policy::{
 };
 use tippers_spatial::fixtures::dbh;
 
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_allocation() {
-    // `try_with` fails only while the thread is being torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// wrapper only bumps a const-initialised thread-local counter, which itself
-// never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
+mod common;
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns its result with the allocations it made on this
-/// thread.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
+static GLOBAL: common::CountingAlloc = common::CountingAlloc;
 
 #[test]
 fn warmed_indexed_decide_allocates_nothing() {
@@ -136,7 +92,7 @@ fn warmed_indexed_decide_allocates_nothing() {
         enforcer.decide(f, &ontology, &dbh.model);
     }
     for (name, f, effect, basis) in &cases {
-        let (decision, allocations) = counted(|| enforcer.decide(f, &ontology, &dbh.model));
+        let (decision, allocations) = common::counted(|| enforcer.decide(f, &ontology, &dbh.model));
         assert_eq!(&decision.effect, effect, "{name}");
         assert_eq!(&decision.basis, basis, "{name}");
         assert_eq!(
