@@ -409,13 +409,40 @@ impl Enforcer for NaiveEnforcer {
 /// categories, the same scheme as `tippers_policy::ConflictIndex`) can
 /// overlap a request for it; preferences indexed by user. Deciding a flow
 /// allocates nothing.
-#[derive(Debug, Clone)]
+///
+/// A settings change patches the index in place ([`IndexedEnforcer::publish`],
+/// [`IndexedEnforcer::retract`], [`IndexedEnforcer::submit`],
+/// [`IndexedEnforcer::choose`]); the patched index equals the one
+/// [`IndexedEnforcer::new`] builds over the changed lists.
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexedEnforcer {
     policies: Vec<BuildingPolicy>,
     /// Candidate policy indices per data concept index, ascending.
     candidates: Vec<Vec<usize>>,
     prefs_by_user: HashMap<UserId, Vec<UserPreference>>,
     strategy: ResolutionStrategy,
+}
+
+/// The data concepts whose probe reaches a policy on `data`. A policy
+/// registers under its family: its own category, its descendants, and
+/// everything inferable from it. A request probes its category plus its
+/// descendants, which reaches every policy whose data practice overlaps
+/// the request (including shared-sub-category and inferred-data overlaps);
+/// the precise `policy_applies` check runs on the survivors. The probe of
+/// category `c` meets the family exactly when `c` is an ancestor-or-self
+/// of a family member, so these are those concepts, once each, ascending.
+fn probed_by(data: ConceptId, ontology: &Ontology) -> Vec<ConceptId> {
+    let mut family = vec![data];
+    family.extend(ontology.data.descendants(data));
+    family.extend(ontology.inferable_from(data).iter().map(|inf| inf.concept));
+    let mut concepts = Vec::new();
+    for k in family {
+        concepts.push(k);
+        concepts.extend(ontology.data.ancestors(k));
+    }
+    concepts.sort_unstable();
+    concepts.dedup();
+    concepts
 }
 
 impl IndexedEnforcer {
@@ -426,36 +453,12 @@ impl IndexedEnforcer {
         strategy: ResolutionStrategy,
         ontology: &Ontology,
     ) -> Self {
-        // A policy registers under its family: its own category, its
-        // descendants, and everything inferable from it. A request probes
-        // its category plus its descendants, which reaches every policy
-        // whose data practice overlaps the request (including
-        // shared-sub-category and inferred-data overlaps); the precise
-        // `policy_applies` check runs on the survivors. The probe of
-        // category `c` meets the family of policy `p` exactly when `c` is an
-        // ancestor-or-self of a family member, so each policy is listed
-        // under those concepts, once and in ascending order.
         let mut candidates: Vec<Vec<usize>> = vec![Vec::new(); ontology.data.len()];
-        let mut probed_by: HashMap<ConceptId, Vec<ConceptId>> = HashMap::new();
+        let mut probes: HashMap<ConceptId, Vec<ConceptId>> = HashMap::new();
         for (i, p) in policies.iter().enumerate() {
-            let concepts = probed_by.entry(p.data).or_insert_with(|| {
-                let mut family = vec![p.data];
-                family.extend(ontology.data.descendants(p.data));
-                family.extend(
-                    ontology
-                        .inferable_from(p.data)
-                        .iter()
-                        .map(|inf| inf.concept),
-                );
-                let mut concepts = Vec::new();
-                for k in family {
-                    concepts.push(k);
-                    concepts.extend(ontology.data.ancestors(k));
-                }
-                concepts.sort_unstable();
-                concepts.dedup();
-                concepts
-            });
+            let concepts = probes
+                .entry(p.data)
+                .or_insert_with(|| probed_by(p.data, ontology));
             for c in concepts.iter() {
                 candidates[c.index()].push(i);
             }
@@ -470,6 +473,60 @@ impl IndexedEnforcer {
             prefs_by_user,
             strategy,
         }
+    }
+
+    /// Appends a published policy. Its slot is the largest, so every
+    /// candidate list it joins stays ascending.
+    pub fn publish(&mut self, policy: BuildingPolicy, ontology: &Ontology) {
+        let slot = self.policies.len();
+        for c in probed_by(policy.data, ontology) {
+            self.candidates[c.index()].push(slot);
+        }
+        self.policies.push(policy);
+    }
+
+    /// Removes every policy with `id` (as `PolicyManager::remove` does)
+    /// and shifts the higher slots down: one pass over the candidate
+    /// lists, which keeps them ascending.
+    pub fn retract(&mut self, id: PolicyId) {
+        // The new slot of each old slot; `usize::MAX` for a removed one.
+        let mut next = 0;
+        let slots: Vec<usize> = self
+            .policies
+            .iter()
+            .map(|p| {
+                if p.id == id {
+                    usize::MAX
+                } else {
+                    next += 1;
+                    next - 1
+                }
+            })
+            .collect();
+        self.policies.retain(|p| p.id != id);
+        for list in &mut self.candidates {
+            list.retain_mut(|i| {
+                *i = slots[*i];
+                *i != usize::MAX
+            });
+        }
+    }
+
+    /// Adds a submitted preference after the user's earlier ones.
+    pub fn submit(&mut self, preference: UserPreference) {
+        self.prefs_by_user
+            .entry(preference.user)
+            .or_default()
+            .push(preference);
+    }
+
+    /// Adds a setting-derived preference, first dropping the user's
+    /// earlier choice for the same setting: the preference carrying the
+    /// same marker note (as `PreferenceManager` does).
+    pub fn choose(&mut self, preference: UserPreference) {
+        let prefs = self.prefs_by_user.entry(preference.user).or_default();
+        prefs.retain(|p| p.note != preference.note);
+        prefs.push(preference);
     }
 }
 

@@ -155,12 +155,15 @@ impl PreferenceManager {
         option_index: usize,
     ) -> Result<(PreferenceId, Effect), SettingsError> {
         let id = PreferenceId(self.next_id);
-        self.apply_setting_choice_assigned(user, policy, setting_key, option_index, id)
+        let pref =
+            self.apply_setting_choice_assigned(user, policy, setting_key, option_index, id)?;
+        Ok((pref.id, pref.effect))
     }
 
     /// [`PreferenceManager::apply_setting_choice`], but keeping a
     /// caller-assigned id for the derived preference (see
-    /// [`PreferenceManager::insert_assigned`]).
+    /// [`PreferenceManager::insert_assigned`]). Returns the stored
+    /// preference.
     ///
     /// # Errors
     ///
@@ -172,11 +175,11 @@ impl PreferenceManager {
         setting_key: &str,
         option_index: usize,
         id: PreferenceId,
-    ) -> Result<(PreferenceId, Effect), SettingsError> {
-        let (mut pref, effect) =
-            self.prepare_setting_choice(user, policy, setting_key, option_index)?;
+    ) -> Result<&UserPreference, SettingsError> {
+        let mut pref = self.prepare_setting_choice(user, policy, setting_key, option_index)?;
         pref.id = id;
-        Ok((self.insert_assigned(pref), effect))
+        self.insert_assigned(pref);
+        Ok(self.preferences.last().expect("just stored"))
     }
 
     /// Validates a setting choice, drops the superseded earlier choice for
@@ -188,7 +191,7 @@ impl PreferenceManager {
         policy: &BuildingPolicy,
         setting_key: &str,
         option_index: usize,
-    ) -> Result<(UserPreference, Effect), SettingsError> {
+    ) -> Result<UserPreference, SettingsError> {
         let setting = policy
             .settings
             .iter()
@@ -227,7 +230,7 @@ impl PreferenceManager {
         // above blanket preferences.
         .with_priority(5)
         .with_note(marker);
-        Ok((pref, option.effect))
+        Ok(pref)
     }
 }
 

@@ -130,7 +130,16 @@ pub struct Tippers {
     audit: AuditLog,
     groups: HashMap<UserId, UserGroup>,
     macs: HashMap<UserId, MacAddress>,
+    /// The enforcement index: patched on every settings change, built by
+    /// [`Tippers::ensure_enforcer`] at the first read after open, a
+    /// restore, or a failed patch.
     enforcer: Option<IndexedEnforcer>,
+    /// Successful enforcement-index builds since this engine was created.
+    enforcer_builds: u64,
+    /// The capture filter `ingest_batched` applies, derived at the first
+    /// batch after a settings change, an occupant registration or a
+    /// restore.
+    capture_filter: Option<CaptureFilter>,
     noise_rng: StdRng,
     health: HealthMonitor,
     store_write_failures: u64,
@@ -207,6 +216,8 @@ impl Tippers {
             groups: HashMap::new(),
             macs: HashMap::new(),
             enforcer: None,
+            enforcer_builds: 0,
+            capture_filter: None,
             health: HealthMonitor::new(),
             store_write_failures: 0,
             wal: None,
@@ -319,12 +330,10 @@ impl Tippers {
                 self.policies = PolicyManager::from_parts(policies, next_policy_id);
             }
             WalRecord::AddPolicy { policy } => {
-                self.enforcer = None;
-                self.policies.add(policy);
+                self.add_policy_inner(policy);
             }
             WalRecord::RemovePolicy { policy } => {
-                self.enforcer = None;
-                self.policies.remove(policy);
+                self.remove_policy_inner(policy);
             }
             WalRecord::SubmitPreferenceAssigned { preference, now } => {
                 self.submit_preference_assigned_inner(preference, now);
@@ -689,6 +698,7 @@ impl Tippers {
     /// Registers occupants (the building's user directory: group
     /// membership and device MACs).
     pub fn register_occupants(&mut self, occupants: &[Occupant]) {
+        self.capture_filter = None;
         for o in occupants {
             self.groups.insert(o.user, o.group);
             self.macs.insert(o.user, o.mac);
@@ -706,20 +716,33 @@ impl Tippers {
     // ---- policy administration (step 1) ------------------------------------
 
     /// Adds a building policy; returns its assigned id.
-    pub fn add_policy(&mut self, mut policy: BuildingPolicy) -> PolicyId {
-        self.enforcer = None;
-        let id = self.policies.add(policy.clone());
-        policy.id = id;
+    pub fn add_policy(&mut self, policy: BuildingPolicy) -> PolicyId {
+        let policy = self.add_policy_inner(policy);
+        let id = policy.id;
         self.log(WalRecord::AddPolicy { policy });
         id
     }
 
+    /// Stores a policy under the next id and returns it as stored.
+    fn add_policy_inner(&mut self, mut policy: BuildingPolicy) -> BuildingPolicy {
+        policy.id = self.policies.add(policy.clone());
+        self.settings_changed(|index, ontology| index.publish(policy.clone(), ontology));
+        policy
+    }
+
     /// Removes a policy.
     pub fn remove_policy(&mut self, id: PolicyId) -> bool {
-        self.enforcer = None;
-        let removed = self.policies.remove(id);
+        let removed = self.remove_policy_inner(id);
         if removed {
             self.log(WalRecord::RemovePolicy { policy: id });
+        }
+        removed
+    }
+
+    fn remove_policy_inner(&mut self, id: PolicyId) -> bool {
+        let removed = self.policies.remove(id);
+        if removed {
+            self.settings_changed(|index, _| index.retract(id));
         }
         removed
     }
@@ -840,7 +863,6 @@ impl Tippers {
         pref: UserPreference,
         now: Timestamp,
     ) -> PreferenceId {
-        self.enforcer = None;
         let notices = self.policies.all().iter().filter_map(|policy| {
             conflict::classify(
                 policy,
@@ -852,6 +874,7 @@ impl Tippers {
             .map(|conflict| conflict.notice)
         });
         self.audit.notify_each(pref.user, now, notices);
+        self.settings_changed(|index, _| index.submit(pref.clone()));
         self.preferences.insert_assigned(pref)
     }
 
@@ -914,14 +937,11 @@ impl Tippers {
                 key: format!("{policy}"),
             })?
             .clone();
-        self.enforcer = None;
-        let (id, _) = self.preferences.apply_setting_choice_assigned(
-            user,
-            &policy,
-            setting_key,
-            option_index,
-            id,
-        )?;
+        let chosen = self
+            .preferences
+            .apply_setting_choice_assigned(user, &policy, setting_key, option_index, id)?
+            .clone();
+        self.settings_changed(|index, _| index.choose(chosen));
         Ok(id)
     }
 
@@ -1073,18 +1093,16 @@ impl Tippers {
     /// Finds the authorizing policy for storing one observation. Returns
     /// the policy id and its retention (seconds), or `None` to drop.
     fn storage_grant(
-        &mut self,
+        &self,
         obs: &Observation,
         category: ConceptId,
     ) -> Option<(PolicyId, Option<i64>)> {
         let mut grant: Option<(PolicyId, Option<i64>)> = None;
-        let candidates: Vec<BuildingPolicy> = self
+        let candidates = self
             .policies
             .all()
             .iter()
-            .filter(|p| p.actions.contains(DataAction::Store))
-            .cloned()
-            .collect();
+            .filter(|p| p.actions.contains(DataAction::Store));
         for policy in candidates {
             let applies_space = self.model.contains(policy.space, obs.space);
             if !applies_space {
@@ -1186,12 +1204,14 @@ impl Tippers {
         }
         self.ensure_enforcer();
         let mut pipeline = self.ingest.take().expect("checked above");
-        let filter = CaptureFilter::derive(
-            &self.ontology,
-            self.policies.all(),
-            self.preferences.all(),
-            &self.macs,
-        );
+        let filter = self.capture_filter.take().unwrap_or_else(|| {
+            CaptureFilter::derive(
+                &self.ontology,
+                self.policies.all(),
+                self.preferences.all(),
+                &self.macs,
+            )
+        });
         let mut report = IngestReport::empty();
 
         // Admission: bounded per-zone mailboxes; a full zone pushes back.
@@ -1295,6 +1315,7 @@ impl Tippers {
             }
         }
         self.ingest = Some(pipeline);
+        self.capture_filter = Some(filter);
         report
     }
 
@@ -1718,6 +1739,7 @@ impl Tippers {
         self.audit = snapshot.audit;
         self.quotas = snapshot.quotas;
         self.enforcer = None;
+        self.capture_filter = None;
         Ok(())
     }
 
@@ -2127,7 +2149,41 @@ impl Tippers {
         sum - 6.0
     }
 
-    /// (Re)builds the enforcement engine if needed. An injected
+    /// Patches the enforcement index for one settings change, and marks
+    /// the capture filter for re-derivation. Without an index there is
+    /// nothing to patch: the next read builds one over the changed lists.
+    /// A patch consults [`FaultPoint::EnforcerBuild`] as a build does; an
+    /// injected failure drops the index and marks the BMS degraded, so
+    /// decisions fail closed until the next read's rebuild succeeds.
+    fn settings_changed(&mut self, patch: impl FnOnce(&mut IndexedEnforcer, &Ontology)) {
+        self.capture_filter = None;
+        let Some(index) = self.enforcer.as_mut() else {
+            return;
+        };
+        if self
+            .config
+            .fault_plan
+            .should_fail(FaultPoint::EnforcerBuild)
+        {
+            self.enforcer = None;
+            self.health
+                .mark_degraded("enforcement engine patch failed; failing closed");
+            return;
+        }
+        patch(index, &self.ontology);
+    }
+
+    /// Successful enforcement-index builds since this engine was created.
+    /// Settings changes patch the index, so this grows only at the first
+    /// read after open, a restore, or a failed patch or build.
+    pub fn enforcer_builds(&self) -> u64 {
+        self.enforcer_builds
+    }
+
+    /// Builds the enforcement index if there is none: at the first read
+    /// after open, a checkpoint replay or snapshot restore, or a failed
+    /// patch. Settings changes patch an existing index in place
+    /// ([`Tippers::settings_changed`]). An injected
     /// [`FaultPoint::EnforcerBuild`] failure leaves the engine absent and
     /// marks the BMS degraded — subsequent decisions fail closed until a
     /// rebuild succeeds.
@@ -2152,6 +2208,7 @@ impl Tippers {
             self.config.strategy,
             &self.ontology,
         ));
+        self.enforcer_builds += 1;
         self.health.mark_recovered();
     }
 }

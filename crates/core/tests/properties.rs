@@ -1,7 +1,9 @@
 //! Property-based tests for the enforcement engine and store.
 
 use proptest::prelude::*;
-use tippers::{Enforcer, IndexedEnforcer, NaiveEnforcer, RequestFlow, Store};
+use tippers::{
+    Enforcer, IndexedEnforcer, NaiveEnforcer, PolicyManager, PreferenceManager, RequestFlow, Store,
+};
 use tippers_ontology::{ConceptId, Ontology};
 use tippers_policy::{
     BuildingPolicy, Condition, DataAction, Effect, Modality, PolicyId, PreferenceId,
@@ -136,6 +138,43 @@ fn gen_prefs(
         .collect()
 }
 
+/// A random flow over users `0..4`, any action, stage and context.
+fn gen_flow(
+    lcg: &mut Lcg,
+    spaces: &[SpaceId],
+    datas: &[ConceptId],
+    purposes: &[ConceptId],
+) -> RequestFlow {
+    RequestFlow {
+        subject: UserId((lcg.next() % 4) as u64),
+        subject_group: UserGroup::ALL[lcg.next() % 5],
+        data: datas[lcg.next() % datas.len()],
+        purpose: purposes[lcg.next() % purposes.len()],
+        service: if lcg.next().is_multiple_of(2) {
+            Some(ServiceId::new(format!("svc{}", lcg.next() % 3)))
+        } else {
+            None
+        },
+        action: DataAction::ALL[lcg.next() % 5],
+        time: Timestamp::at((lcg.next() % 7) as i64, (lcg.next() % 24) as u32, 0),
+        subject_space: if lcg.next().is_multiple_of(2) {
+            Some(spaces[lcg.next() % spaces.len()])
+        } else {
+            None
+        },
+        requester_space: if lcg.next().is_multiple_of(2) {
+            Some(spaces[lcg.next() % spaces.len()])
+        } else {
+            None
+        },
+        room_occupied: match lcg.next() % 3 {
+            0 => Some(true),
+            1 => Some(false),
+            _ => None,
+        },
+    }
+}
+
 proptest! {
     /// D1 equivalence: the indexed enforcer and the naive enforcer return
     /// identical decisions on arbitrary policy/preference sets and flows.
@@ -160,37 +199,113 @@ proptest! {
             let indexed = IndexedEnforcer::new(policies, prefs, strategy, &ont);
             let mut lcg = Lcg(seed ^ 0x77);
             for _ in 0..n_flows {
-                let flow = RequestFlow {
-                    subject: UserId((lcg.next() % 4) as u64),
-                    subject_group: UserGroup::ALL[lcg.next() % 5],
-                    data: datas[lcg.next() % datas.len()],
-                    purpose: purposes[lcg.next() % purposes.len()],
-                    service: if lcg.next().is_multiple_of(2) {
-                        Some(ServiceId::new(format!("svc{}", lcg.next() % 3)))
-                    } else {
-                        None
-                    },
-                    action: DataAction::ALL[lcg.next() % 5],
-                    time: Timestamp::at((lcg.next() % 7) as i64, (lcg.next() % 24) as u32, 0),
-                    subject_space: if lcg.next().is_multiple_of(2) {
-                        Some(spaces[lcg.next() % spaces.len()])
-                    } else {
-                        None
-                    },
-                    requester_space: if lcg.next().is_multiple_of(2) {
-                        Some(spaces[lcg.next() % spaces.len()])
-                    } else {
-                        None
-                    },
-                    room_occupied: match lcg.next() % 3 {
-                        0 => Some(true),
-                        1 => Some(false),
-                        _ => None,
-                    },
-                };
+                let flow = gen_flow(&mut lcg, &spaces, &datas, &purposes);
                 let a = naive.decide(&flow, &ont, &model);
                 let b = indexed.decide(&flow, &ont, &model);
                 prop_assert_eq!(a, b, "strategy {:?}", strategy);
+            }
+        }
+    }
+
+    /// Patching the index per settings change equals rebuilding it: over a
+    /// random sequence of publishes, retractions (of live, already
+    /// retracted and never-issued ids), submissions (some replaying an
+    /// earlier id) and superseding setting choices, applied to the
+    /// managers and patched into an index built once up front, the patched
+    /// index `==` `IndexedEnforcer::new` over the managers' lists and
+    /// decides like `NaiveEnforcer` over them.
+    #[test]
+    fn patched_index_equals_a_rebuild(
+        seed in any::<u64>(),
+        n_policies in 0usize..12,
+        n_prefs in 0usize..12,
+        n_changes in 1usize..40,
+    ) {
+        let (ont, model, spaces) = env();
+        let datas: Vec<ConceptId> = ont.data.iter().map(tippers_ontology::Concept::id).collect();
+        let purposes: Vec<ConceptId> = ont.purposes.iter().map(tippers_ontology::Concept::id).collect();
+        let strategy = [
+            ResolutionStrategy::PolicyPrevails,
+            ResolutionStrategy::PreferencePrevails,
+            ResolutionStrategy::Strictest,
+        ][(seed % 3) as usize];
+        let pool = gen_policies(seed, n_policies + n_changes, &ont, &spaces, &datas, &purposes);
+        let mut pool = pool.into_iter().map(|p| p.with_setting(BuildingPolicy::location_setting()));
+        let pref_pool = gen_prefs(seed, n_prefs + n_changes, &spaces, &datas, &purposes);
+        let mut pref_pool = pref_pool.into_iter();
+        let mut policies = PolicyManager::new();
+        let mut prefs = PreferenceManager::new();
+        for p in pool.by_ref().take(n_policies) {
+            policies.add(p);
+        }
+        for p in pref_pool.by_ref().take(n_prefs) {
+            prefs.add(p);
+        }
+        let mut index = IndexedEnforcer::new(
+            policies.all().to_vec(),
+            prefs.all().to_vec(),
+            strategy,
+            &ont,
+        );
+        // The managers' next ids: policies count up from 0, and the
+        // preference pool's ids from 0 as well.
+        let (mut next_policy, mut next_pref) = (n_policies as u64, n_prefs as u64);
+        let mut lcg = Lcg(seed ^ 0x9A7C);
+        for step in 0..n_changes {
+            match lcg.next() % 4 {
+                0 => {
+                    let policy = pool.next().expect("the pool holds one per change");
+                    let id = policies.add(policy);
+                    next_policy += 1;
+                    index.publish(policies.get(id).expect("just added").clone(), &ont);
+                }
+                1 => {
+                    let id = PolicyId(lcg.next() as u64 % (next_policy + 2));
+                    policies.remove(id);
+                    index.retract(id);
+                }
+                2 => {
+                    let mut pref = pref_pool.next().expect("the pool holds one per change");
+                    pref.id = if lcg.next().is_multiple_of(4) && !prefs.is_empty() {
+                        prefs.all()[lcg.next() % prefs.len()].id
+                    } else {
+                        next_pref += 1;
+                        PreferenceId(next_pref - 1)
+                    };
+                    prefs.insert_assigned(pref.clone());
+                    index.submit(pref);
+                }
+                _ => {
+                    let Some(policy) = (!policies.is_empty())
+                        .then(|| policies.all()[lcg.next() % policies.len()].clone())
+                    else {
+                        continue;
+                    };
+                    let user = UserId((lcg.next() % 4) as u64);
+                    let id = PreferenceId(next_pref);
+                    next_pref += 1;
+                    let chosen = prefs
+                        .apply_setting_choice_assigned(user, &policy, "location-sensing", lcg.next() % 3, id)
+                        .expect("every pooled policy carries the setting")
+                        .clone();
+                    index.choose(chosen);
+                }
+            }
+            let rebuilt = IndexedEnforcer::new(
+                policies.all().to_vec(),
+                prefs.all().to_vec(),
+                strategy,
+                &ont,
+            );
+            prop_assert!(index == rebuilt, "step {}: the patched index differs from a rebuild", step);
+            let naive = NaiveEnforcer::new(policies.all().to_vec(), prefs.all().to_vec(), strategy);
+            for _ in 0..4 {
+                let flow = gen_flow(&mut lcg, &spaces, &datas, &purposes);
+                prop_assert_eq!(
+                    index.decide(&flow, &ont, &model),
+                    naive.decide(&flow, &ont, &model),
+                    "step {}", step
+                );
             }
         }
     }

@@ -551,13 +551,15 @@ fn degraded_aggregates_exclude_everyone_and_say_so() {
     let trace = sim.run_until(Timestamp::at(0, 10, 0));
     let (stored, _) = bms.ingest(&trace.observations); // healthy ingest
     assert!(stored > 0);
-    // A routine preference submission invalidates the engine; the rebuild
-    // at the next query is what the injected fault breaks.
+    // A routine preference submission patches the engine built by the
+    // ingest. The injected fault breaks that patch, which drops the
+    // engine, and then the rebuild at the next query; the query after
+    // that rebuilds cleanly.
+    plan.arm_limited(FaultPoint::EnforcerBuild, 1.0, 2);
     bms.submit_preference(
         catalog::preference2_no_location(PreferenceId(0), sim.occupants()[0].user, &ontology),
         Timestamp::at(0, 10, 5),
     );
-    plan.arm_limited(FaultPoint::EnforcerBuild, 1.0, 1);
     let request = AggregateRequest {
         service: catalog::services::smart_meeting(),
         purpose: c.analytics,
