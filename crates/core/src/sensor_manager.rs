@@ -102,9 +102,15 @@ impl SensorManager {
             .iter()
             .filter(|p| p.effect == Effect::Deny)
             // Unconditional, building-wide location/network denials only:
-            // a conditional preference (after-hours, per-space) cannot be
-            // enforced by a static device list and stays BMS-side.
-            .filter(|p| p.scope.condition.is_always() && p.scope.service.is_none())
+            // a conditional, per-service, per-purpose or per-space
+            // preference cannot be enforced by a static device list and
+            // stays BMS-side, where the request path enforces it.
+            .filter(|p| {
+                p.scope.condition.is_always()
+                    && p.scope.service.is_none()
+                    && p.scope.purpose.is_none()
+                    && p.scope.space.is_none()
+            })
             .filter(|p| match p.scope.data {
                 None => true,
                 Some(d) => {
@@ -217,5 +223,38 @@ mod tests {
         ];
         let suppressed = SensorManager::capture_suppression(&ont, &prefs, &mac_of);
         assert_eq!(suppressed, vec![mac1]);
+    }
+
+    #[test]
+    fn purpose_and_room_scoped_denials_leave_capture_on() {
+        let ont = Ontology::standard();
+        let c = ont.concepts();
+        let d = dbh();
+        let mac_of: HashMap<UserId, MacAddress> = (1..=3)
+            .map(|u| (UserId(u), MacAddress::for_user(u)))
+            .collect();
+        let location_deny = |user, purpose, space| {
+            UserPreference::new(
+                PreferenceId(user),
+                UserId(user),
+                PreferenceScope {
+                    data: Some(c.location),
+                    purpose,
+                    space,
+                    ..Default::default()
+                },
+                Effect::Deny,
+            )
+        };
+        let prefs = vec![
+            // Denied only in one office: capture elsewhere is allowed.
+            location_deny(1, None, Some(d.offices[0])),
+            // Denied only for analytics: other purposes may use it.
+            location_deny(2, Some(c.analytics), None),
+            // Unscoped: the device never reports the MAC.
+            location_deny(3, None, None),
+        ];
+        let suppressed = SensorManager::capture_suppression(&ont, &prefs, &mac_of);
+        assert_eq!(suppressed, vec![MacAddress::for_user(3)]);
     }
 }

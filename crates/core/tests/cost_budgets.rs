@@ -27,20 +27,25 @@ static GLOBAL: common::CountingAlloc = common::CountingAlloc;
 /// Allocations per permitted single-subject `handle_request` on a durable
 /// engine: the decision, its audit-chain record, and its share of sealing
 /// and archiving a segment every [`SEGMENT_RECORDS`] requests.
-const ALLOCATIONS_PER_PERMITTED_REQUEST: u64 = 60;
+const ALLOCATIONS_PER_PERMITTED_REQUEST: u64 = 28;
 
 /// Allocations per occupant change on a corpus-loaded durable engine: a
 /// preference submission (conflict notices, the WAL record, the enforcer
 /// patch), draining the occupant's notifications, and one probe request.
 /// A change that rebuilt the enforcer would cost allocations in
 /// proportion to the corpus.
-const ALLOCATIONS_PER_OCCUPANT_CHANGE: u64 = 123;
+const ALLOCATIONS_PER_OCCUPANT_CHANGE: u64 = 58;
 
 /// Allocations per observation through `ingest_batched` on a
 /// corpus-loaded durable engine, averaged over whole batches: the capture
 /// filter is derived once, not per batch, and the storage grant reads the
 /// policies in place.
-const ALLOCATIONS_PER_CAPTURED_EVENT: u64 = 17;
+const ALLOCATIONS_PER_CAPTURED_EVENT: u64 = 1;
+
+/// Allocations per `checkpoint()` on the corpus-loaded durable engine:
+/// cloning the durable state into a snapshot, writing it as one JSON
+/// record, and framing and publishing that record.
+const ALLOCATIONS_PER_CHECKPOINT: u64 = 30_694;
 
 #[test]
 fn a_permitted_request_stays_within_its_allocation_budget() {
@@ -326,5 +331,19 @@ fn a_captured_event_stays_within_its_allocation_budget() {
         per_event <= ALLOCATIONS_PER_CAPTURED_EVENT,
         "a captured event allocates {per_event} times, budget \
          {ALLOCATIONS_PER_CAPTURED_EVENT}"
+    );
+}
+
+#[test]
+fn a_checkpoint_stays_within_its_allocation_budget() {
+    let ontology = Ontology::standard();
+    let building = dbh();
+    let mut bms = loaded_engine(&ontology, &building, TippersConfig::default());
+    let (result, allocations) = common::counted(|| bms.checkpoint());
+    result.expect("the checkpoint lands");
+    eprintln!("{allocations} allocations per checkpoint");
+    assert!(
+        allocations <= ALLOCATIONS_PER_CHECKPOINT,
+        "a checkpoint allocates {allocations} times, budget {ALLOCATIONS_PER_CHECKPOINT}"
     );
 }
