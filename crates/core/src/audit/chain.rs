@@ -19,9 +19,11 @@
 //! provisioning story in the paper. Everything else — linking, sealing,
 //! verification — is key-agnostic.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
-use super::hash::{hex, hmac_sha256, sha256};
+use super::hash::{hex, hex_bytes, hex_u64, sha256, HmacKey};
 
 /// Records per sealed segment. Small enough that a corrupted archive file
 /// localizes to tens of decisions, large enough that sealing is rare.
@@ -32,8 +34,10 @@ pub const SEGMENT_RECORDS: usize = 64;
 /// can share the log directory and its failure modes.
 pub const ARCHIVE_PREFIX: &str = "audit-";
 
-fn mac_key() -> [u8; 32] {
-    sha256(b"tippers/audit-chain/mac-key/v1")
+/// The chain's MAC key, its HMAC pad states computed once per process.
+fn mac_key() -> &'static HmacKey {
+    static KEY: OnceLock<HmacKey> = OnceLock::new();
+    KEY.get_or_init(|| HmacKey::new(&sha256(b"tippers/audit-chain/mac-key/v1")))
 }
 
 fn genesis_link() -> String {
@@ -44,15 +48,35 @@ fn genesis_root() -> String {
     hex(&sha256(b"tippers/audit-chain/genesis-root"))
 }
 
-fn record_mac(seq: u64, prev: &str, payload: &str) -> String {
-    // `prev` is a fixed-width hex digest, so the join is unambiguous.
-    let input = format!("{seq:016x}:{prev}:{payload}");
-    hex(&hmac_sha256(&mac_key(), input.as_bytes()))
+/// HMAC over `{seq:016x}:{prev}:{payload}`, fed in parts. `prev` is a
+/// fixed-width hex digest, so the join is unambiguous.
+fn record_mac(seq: u64, prev: &str, payload: &str) -> [u8; 32] {
+    mac_key().mac_parts(&[
+        &hex_u64(seq),
+        b":",
+        prev.as_bytes(),
+        b":",
+        payload.as_bytes(),
+    ])
 }
 
-fn segment_root(first_seq: u64, last_seq: u64, last_mac: &str, prev_root: &str) -> String {
-    let input = format!("seal:{first_seq:016x}:{last_seq:016x}:{last_mac}:{prev_root}");
-    hex(&hmac_sha256(&mac_key(), input.as_bytes()))
+/// HMAC over `seal:{first_seq:016x}:{last_seq:016x}:{last_mac}:{prev_root}`.
+fn segment_root(first_seq: u64, last_seq: u64, last_mac: &str, prev_root: &str) -> [u8; 32] {
+    mac_key().mac_parts(&[
+        b"seal:",
+        &hex_u64(first_seq),
+        b":",
+        &hex_u64(last_seq),
+        b":",
+        last_mac.as_bytes(),
+        b":",
+        prev_root.as_bytes(),
+    ])
+}
+
+/// Whether a stored hex MAC or root is exactly `digest`'s hex.
+fn matches(stored: &str, digest: &[u8; 32]) -> bool {
+    stored.as_bytes() == hex_bytes(digest)
 }
 
 /// One chained audit record.
@@ -192,11 +216,9 @@ impl AuditChain {
     /// Appends an event payload, returning the new record.
     pub fn append(&mut self, payload: String) -> &ChainedRecord {
         let seq = self.next_seq;
-        let prev = self
-            .open
-            .last()
-            .map_or_else(|| self.base.clone(), |r| r.mac.clone());
-        let mac = record_mac(seq, &prev, &payload);
+        let prev = self.head();
+        let mac = hex(&record_mac(seq, prev, &payload));
+        let prev = prev.to_owned();
         self.next_seq += 1;
         self.open.push(ChainedRecord {
             seq,
@@ -246,7 +268,10 @@ impl AuditChain {
             if record.prev != expected_prev {
                 return Err(ChainFault::Link { seq: record.seq });
             }
-            if record.mac != record_mac(record.seq, &record.prev, &record.payload) {
+            if !matches(
+                &record.mac,
+                &record_mac(record.seq, &record.prev, &record.payload),
+            ) {
                 return Err(ChainFault::Mac { seq: record.seq });
             }
             expected_prev = &record.mac;
@@ -278,7 +303,12 @@ impl AuditChain {
         let records: Vec<ChainedRecord> = self.open.drain(..len).collect();
         let first = &records[0];
         let last = records.last().expect("len > 0");
-        let root = segment_root(first.seq, last.seq, &last.mac, &self.prev_root);
+        let root = hex(&segment_root(
+            first.seq,
+            last.seq,
+            &last.mac,
+            &self.prev_root,
+        ));
         self.base = last.mac.clone();
         self.sealed += 1;
         SealedSegment {
@@ -318,8 +348,9 @@ impl AuditChain {
     pub fn verify_archive(&self, segments: &[SealedSegment]) -> Result<u64, ChainFault> {
         let mut checked = 0u64;
         let mut expected_first = 0u64;
-        let mut expected_link = genesis_link();
-        let mut expected_root = genesis_root();
+        let (genesis_link, genesis_root) = (genesis_link(), genesis_root());
+        let mut expected_link = genesis_link.as_str();
+        let mut expected_root = genesis_root.as_str();
         for segment in segments {
             if segment.first_seq != expected_first {
                 return Err(ChainFault::Sequence {
@@ -339,13 +370,12 @@ impl AuditChain {
             }
             checked += verify_segment(segment)?;
             expected_first = segment.last_seq + 1;
-            expected_link = segment
+            expected_link = &segment
                 .records
                 .last()
                 .expect("verified segment is non-empty")
-                .mac
-                .clone();
-            expected_root = segment.root.clone();
+                .mac;
+            expected_root = &segment.root;
         }
         // The live chain must take over exactly where the archive ends.
         let first_open = self.next_seq - self.open.len() as u64;
@@ -396,7 +426,10 @@ pub fn verify_segment(segment: &SealedSegment) -> Result<u64, ChainFault> {
         if record.prev != expected_prev {
             return Err(ChainFault::Link { seq: record.seq });
         }
-        if record.mac != record_mac(record.seq, &record.prev, &record.payload) {
+        if !matches(
+            &record.mac,
+            &record_mac(record.seq, &record.prev, &record.payload),
+        ) {
             return Err(ChainFault::Mac { seq: record.seq });
         }
         expected_prev = &record.mac;
@@ -408,14 +441,15 @@ pub fn verify_segment(segment: &SealedSegment) -> Result<u64, ChainFault> {
             found: last.seq,
         });
     }
-    if segment.root
-        != segment_root(
+    if !matches(
+        &segment.root,
+        &segment_root(
             segment.first_seq,
             segment.last_seq,
             &last.mac,
             &segment.prev_root,
-        )
-    {
+        ),
+    ) {
         return Err(ChainFault::Root {
             first_seq: segment.first_seq,
         });
@@ -425,7 +459,37 @@ pub fn verify_segment(segment: &SealedSegment) -> Result<u64, ChainFault> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The MAC input joined with `format!` and MACed in one piece: the
+    /// reference the parted feeds must match byte for byte.
+    fn joined_mac(input: &str) -> [u8; 32] {
+        HmacKey::new(&sha256(b"tippers/audit-chain/mac-key/v1")).mac_parts(&[input.as_bytes()])
+    }
+
+    proptest! {
+        #[test]
+        fn parted_macs_equal_the_joined_reference(
+            seq in any::<u64>(),
+            last_seq in any::<u64>(),
+            seed in any::<u64>(),
+            text in proptest::collection::vec(32u8..127, 0..300),
+        ) {
+            let payload = String::from_utf8(text).expect("printable ASCII");
+            let prev = hex(&sha256(&seed.to_le_bytes()));
+            let root = hex(&sha256(&seed.to_be_bytes()));
+            prop_assert_eq!(
+                record_mac(seq, &prev, &payload),
+                joined_mac(&format!("{seq:016x}:{prev}:{payload}"))
+            );
+            prop_assert_eq!(
+                segment_root(seq, last_seq, &prev, &root),
+                joined_mac(&format!("seal:{seq:016x}:{last_seq:016x}:{prev}:{root}"))
+            );
+        }
+    }
 
     fn chain_with(n: usize) -> AuditChain {
         let mut chain = AuditChain::new();

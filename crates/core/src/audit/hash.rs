@@ -2,10 +2,16 @@
 //!
 //! The audit chain needs a collision-resistant digest and a keyed MAC; the
 //! workspace is offline and vendors no cryptography crate, so the two
-//! primitives are implemented here directly from FIPS 180-4 and RFC 2104.
-//! Both are pure safe Rust over byte slices — no streaming state, no
-//! hardware paths — which is plenty for audit-segment sealing (the chain
-//! appends tens of bytes per enforcement decision, far off any hot path).
+//! primitives are implemented here directly from FIPS 180-4 and RFC 2104,
+//! in safe Rust.
+//!
+//! Every audited decision appends a chain record, so the MAC sits on the
+//! request path and is built for it. [`Sha256`] is a streaming state that
+//! hashes its input where it lies, with no padded copy. [`HmacKey`] absorbs
+//! the key's inner and outer pad blocks once, so each MAC costs only the
+//! compressions of its message plus one for the outer hash, and
+//! [`HmacKey::mac_parts`] takes the message in pieces so callers need not
+//! join them into one buffer first.
 
 /// First 32 bits of the fractional parts of the cube roots of the first 64
 /// primes (FIPS 180-4 §4.2.2).
@@ -89,100 +95,306 @@ const H0: [u32; 8] = [
     0x5be0_cd19,
 ];
 
-/// SHA-256 of `data`.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
-    // Padded message: data || 0x80 || zeros || 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+/// One SHA-256 compression (FIPS 180-4 §6.2.2): folds a 64-byte block
+/// into `state`.
+///
+/// The message schedule rolls through 16 words (`w[t % 16]` holds `W[t]`)
+/// and the 64 rounds are unrolled, so the eight working variables rotate
+/// by renaming instead of by moves and every schedule index is a constant.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
-    let mut h = H0;
-    let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (t, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([
-                block[4 * t],
-                block[4 * t + 1],
-                block[4 * t + 2],
-                block[4 * t + 3],
-            ]);
-        }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for t in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
+    // Round `t` with the working variables named in their current roles;
+    // rounds 16.. first extend the schedule in place.
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $t:expr) => {
+            if $t >= 16 {
+                let w15 = w[($t + 1) % 16];
+                let w2 = w[($t + 14) % 16];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[$t % 16] = w[$t % 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[($t + 9) % 16])
+                    .wrapping_add(s1);
+            }
+            let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+            let ch = $g ^ ($e & ($f ^ $g));
+            let t1 = $h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *slot = slot.wrapping_add(v);
+                .wrapping_add(K[$t])
+                .wrapping_add(w[$t % 16]);
+            let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+            let maj = ($a & $b) | ($c & ($a | $b));
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(s0.wrapping_add(maj));
+        };
+    }
+    macro_rules! eight_rounds {
+        ($t:expr) => {
+            round!(a, b, c, d, e, f, g, h, $t);
+            round!(h, a, b, c, d, e, f, g, $t + 1);
+            round!(g, h, a, b, c, d, e, f, $t + 2);
+            round!(f, g, h, a, b, c, d, e, $t + 3);
+            round!(e, f, g, h, a, b, c, d, $t + 4);
+            round!(d, e, f, g, h, a, b, c, $t + 5);
+            round!(c, d, e, f, g, h, a, b, $t + 6);
+            round!(b, c, d, e, f, g, h, a, $t + 7);
+        };
+    }
+    eight_rounds!(0);
+    eight_rounds!(8);
+    eight_rounds!(16);
+    eight_rounds!(24);
+    eight_rounds!(32);
+    eight_rounds!(40);
+    eight_rounds!(48);
+    eight_rounds!(56);
+
+    for (slot, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *slot = slot.wrapping_add(v);
+    }
+}
+
+/// A streaming SHA-256 state: [`Sha256::update`] any number of times,
+/// then [`Sha256::finish`]. Whole blocks are compressed straight from the
+/// caller's slice; only a partial block is buffered.
+#[derive(Debug, Clone)]
+pub struct Sha256 {
+    state: [u32; 8],
+    /// The pending partial block, `buf[..buffered]`.
+    buf: [u8; 64],
+    buffered: usize,
+    /// Message bytes absorbed so far.
+    len: u64,
+}
+
+impl Sha256 {
+    /// The state before any input.
+    pub const fn new() -> Sha256 {
+        Sha256 {
+            state: H0,
+            buf: [0; 64],
+            buffered: 0,
+            len: 0,
         }
     }
 
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    /// Absorbs `data`.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.buffered > 0 {
+            let take = (64 - self.buffered).min(data.len());
+            self.buf[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            if self.buffered < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.buf);
+            self.buffered = 0;
+        }
+        let (blocks, rest) = data.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
+        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
+
+    /// Pads the message (`0x80`, zeros, 64-bit big-endian bit length) and
+    /// returns its digest.
+    pub fn finish(mut self) -> [u8; 32] {
+        let bit_len = self.len.wrapping_mul(8);
+        self.buf[self.buffered] = 0x80;
+        self.buf[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            // No room for the length: it goes in one more block.
+            compress(&mut self.state, &self.buf);
+            self.buf = [0; 64];
+        }
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
+            *bytes = word.to_be_bytes();
+        }
+        out
+    }
+}
+
+/// SHA-256 of `data`.
+pub fn sha256(data: &[u8]) -> [u8; 32] {
+    let mut hasher = Sha256::new();
+    hasher.update(data);
+    hasher.finish()
+}
+
+/// An HMAC-SHA256 key (RFC 2104) with its inner and outer pad blocks
+/// already absorbed: build it once per key, and each MAC under it starts
+/// one block in.
+#[derive(Debug)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Precomputes the key states; a key longer than a block is hashed
+    /// first.
+    pub fn new(key: &[u8]) -> HmacKey {
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..32].copy_from_slice(&sha256(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let padded = |pad: u8| {
+            let mut state = Sha256::new();
+            state.update(&block.map(|b| b ^ pad));
+            state
+        };
+        HmacKey {
+            inner: padded(0x36),
+            outer: padded(0x5c),
+        }
+    }
+
+    /// HMAC of the concatenation of `parts`, without joining them.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finish());
+        outer.finish()
+    }
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Lowercase hex of a digest, as bytes.
+pub fn hex_bytes(digest: &[u8; 32]) -> [u8; 64] {
+    let mut out = [0u8; 64];
+    for (pair, byte) in out.as_chunks_mut::<2>().0.iter_mut().zip(digest) {
+        *pair = [
+            HEX_DIGITS[usize::from(byte >> 4)],
+            HEX_DIGITS[usize::from(byte & 0xf)],
+        ];
     }
     out
 }
 
-/// HMAC-SHA256 of `data` under `key` (RFC 2104).
-pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut block = [0u8; 64];
-    if key.len() > 64 {
-        block[..32].copy_from_slice(&sha256(key));
-    } else {
-        block[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Vec::with_capacity(64 + data.len());
-    inner.extend(block.iter().map(|b| b ^ 0x36));
-    inner.extend_from_slice(data);
-    let inner_digest = sha256(&inner);
-    let mut outer = Vec::with_capacity(96);
-    outer.extend(block.iter().map(|b| b ^ 0x5c));
-    outer.extend_from_slice(&inner_digest);
-    sha256(&outer)
-}
-
 /// Lowercase hex of a digest.
 pub fn hex(digest: &[u8; 32]) -> String {
-    let mut out = String::with_capacity(64);
-    for byte in digest {
-        out.push(char::from_digit((byte >> 4) as u32, 16).unwrap());
-        out.push(char::from_digit((byte & 0xf) as u32, 16).unwrap());
+    String::from_utf8(hex_bytes(digest).to_vec()).expect("hex digits are ASCII")
+}
+
+/// `value` as 16 lowercase hex digits: the bytes `format!("{value:016x}")`
+/// renders.
+pub fn hex_u64(value: u64) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    for (i, digit) in out.iter_mut().enumerate() {
+        *digit = HEX_DIGITS[((value >> (60 - 4 * i)) & 0xf) as usize];
     }
     out
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// One-shot HMAC-SHA256 of `data` under `key`.
+    fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
+        HmacKey::new(key).mac_parts(&[data])
+    }
+
+    /// The RFC 2104 definition, written out over joined buffers: the
+    /// reference the precomputed key states must match.
+    fn hmac_reference(key: &[u8], data: &[u8]) -> [u8; 32] {
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..32].copy_from_slice(&sha256(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner: Vec<u8> = block.iter().map(|b| b ^ 0x36).collect();
+        inner.extend_from_slice(data);
+        let mut outer: Vec<u8> = block.iter().map(|b| b ^ 0x5c).collect();
+        outer.extend_from_slice(&sha256(&inner));
+        sha256(&outer)
+    }
+
+    /// Cuts `data` at the given offsets (clamped, sorted) into pieces.
+    fn split_at_points(data: &[u8], points: &[usize]) -> Vec<Vec<u8>> {
+        let mut cuts: Vec<usize> = points.iter().map(|&p| p.min(data.len())).collect();
+        cuts.sort_unstable();
+        let mut pieces = Vec::new();
+        let mut start = 0;
+        for cut in cuts.into_iter().chain([data.len()]) {
+            pieces.push(data[start..cut].to_vec());
+            start = cut;
+        }
+        pieces
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        #[test]
+        fn streaming_over_any_split_equals_one_shot(
+            data in proptest::collection::vec(any::<u8>(), 0..300),
+            points in proptest::collection::vec(0usize..300, 0..6),
+            key in proptest::collection::vec(any::<u8>(), 0..140),
+        ) {
+            let pieces = split_at_points(&data, &points);
+            let mut hasher = Sha256::new();
+            for piece in &pieces {
+                hasher.update(piece);
+            }
+            prop_assert_eq!(hasher.finish(), sha256(&data));
+
+            let parts: Vec<&[u8]> = pieces.iter().map(Vec::as_slice).collect();
+            let mac = HmacKey::new(&key).mac_parts(&parts);
+            prop_assert_eq!(mac, hmac_sha256(&key, &data));
+            prop_assert_eq!(mac, hmac_reference(&key, &data));
+        }
+
+        #[test]
+        fn hex_helpers_match_format(value in any::<u64>(), seed in any::<u64>()) {
+            prop_assert_eq!(hex_u64(value).to_vec(), format!("{value:016x}").into_bytes());
+            let digest = sha256(&seed.to_le_bytes());
+            let formatted: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+            prop_assert_eq!(hex(&digest), formatted);
+        }
+    }
+
+    #[test]
+    fn sha256_block_boundaries_match_the_reference_hmac_path() {
+        // Every length across three blocks, so padding that spills into a
+        // second block and updates that end exactly on a boundary are hit.
+        for len in 0..=192usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut hasher = Sha256::new();
+            for byte in &data {
+                hasher.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(hasher.finish(), sha256(&data), "length {len}");
+            assert_eq!(
+                hmac_sha256(b"key", &data),
+                hmac_reference(b"key", &data),
+                "length {len}"
+            );
+        }
+    }
 
     #[test]
     fn sha256_known_answers() {
@@ -200,6 +412,29 @@ mod tests {
                 b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+    }
+
+    #[test]
+    fn sha256_multi_block_known_answers() {
+        // FIPS 180-4 examples: a two-block message and one million 'a's,
+        // fed in uneven pieces.
+        assert_eq!(
+            hex(&sha256(
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+            )),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        );
+        let mut hasher = Sha256::new();
+        let chunk = [b'a'; 1000];
+        for i in 0..1000 {
+            let cut = i % 97;
+            hasher.update(&chunk[..cut]);
+            hasher.update(&chunk[cut..]);
+        }
+        assert_eq!(
+            hex(&hasher.finish()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
 

@@ -7,6 +7,7 @@ use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize as _;
 use tippers_irr::{DiscoveryBus, RegistryError, RegistryId};
 use tippers_ontology::{ConceptId, Ontology};
 use tippers_policy::{
@@ -23,7 +24,7 @@ use tippers_spatial::{GranularLocation, Granularity, SpaceId, SpatialModel};
 
 use crate::aggregate::{bucketize, AggregateRequest, AggregateResponse};
 use crate::audit::chain::{AuditChain, ChainFault, SealedSegment, ARCHIVE_PREFIX, SEGMENT_RECORDS};
-use crate::audit::hash::{hex, sha256};
+use crate::audit::hash::{hex, Sha256};
 use crate::audit::{AuditEntry, AuditLog, ChainEvent, DeletionCertificate, UserNotification};
 use crate::enforce::{EnforcementDecision, Enforcer, IndexedEnforcer, RequestFlow};
 use crate::ingest::{
@@ -501,7 +502,10 @@ impl Tippers {
     /// Journals an audited event onto the tamper-evident chain, then
     /// seals and archives every full [`SEGMENT_RECORDS`]-record run.
     fn journal(&mut self, event: &ChainEvent) {
-        let payload = serde_json::to_string(event).expect("chain events serialize infallibly");
+        // A decision's payload is ~150 bytes: one allocation, where
+        // growing from empty would take six.
+        let mut payload = String::with_capacity(256);
+        event.write_json(&mut payload);
         self.audit_chain.append(payload);
         if self.wal.is_some() {
             let sealed = self.audit_chain.seal(SEGMENT_RECORDS);
@@ -863,17 +867,27 @@ impl Tippers {
         pref: UserPreference,
         now: Timestamp,
     ) -> PreferenceId {
-        let notices = self.policies.all().iter().filter_map(|policy| {
-            conflict::classify(
-                policy,
-                &pref,
-                &self.ontology,
-                &self.model,
-                self.config.strategy,
-            )
-            .map(|conflict| conflict.notice)
-        });
-        self.audit.notify_each(pref.user, now, notices);
+        // Only a restricting preference meets a required policy; `classify`
+        // yields nothing for any other pair, so skipping them up front
+        // queues the same notices in the same order.
+        if pref.effect != Effect::Allow {
+            let notices = self
+                .policies
+                .all()
+                .iter()
+                .filter(|policy| policy.is_required())
+                .filter_map(|policy| {
+                    conflict::classify(
+                        policy,
+                        &pref,
+                        &self.ontology,
+                        &self.model,
+                        self.config.strategy,
+                    )
+                    .map(|conflict| conflict.notice)
+                });
+            self.audit.notify_each(pref.user, now, notices);
+        }
         self.settings_changed(|index, _| index.submit(pref.clone()));
         self.preferences.insert_assigned(pref)
     }
@@ -2244,11 +2258,19 @@ fn read_audit_archive(
 /// recovery finishing an interrupted sweep re-derives exactly the digest
 /// the uninterrupted run would have committed, and replicas replaying the
 /// commit can match certificates byte-for-byte.
+///
+/// The hashed text is `sweep:{id:016x}:{seconds}:` and then each row's
+/// JSON followed by a newline; it is streamed into the hasher, one row at
+/// a time through a reused buffer.
 fn deletion_digest(id: u64, now: Timestamp, rows: &[StoredRow]) -> String {
-    let mut input = format!("sweep:{id:016x}:{}:", now.seconds());
+    let mut hasher = Sha256::new();
+    hasher.update(format!("sweep:{id:016x}:{}:", now.seconds()).as_bytes());
+    let mut json = String::new();
     for row in rows {
-        input.push_str(&serde_json::to_string(row).expect("stored rows serialize infallibly"));
-        input.push('\n');
+        json.clear();
+        row.write_json(&mut json);
+        json.push('\n');
+        hasher.update(json.as_bytes());
     }
-    hex(&sha256(input.as_bytes()))
+    hex(&hasher.finish())
 }

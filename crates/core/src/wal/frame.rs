@@ -76,13 +76,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Frames a payload as one log record.
-pub fn encode(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Frames the text `write` appends as one log record, in one buffer: the
+/// header's bytes are reserved, the payload is written after them, and
+/// the header is then filled in with the payload's length and checksum.
+pub fn encode_text(write: impl FnOnce(&mut String)) -> Vec<u8> {
+    // Room for a settings record without regrowing: a preference
+    // submission is ~290 bytes of JSON.
+    let mut text = String::with_capacity(512);
+    text.extend(['\0'; HEADER_LEN]);
+    write(&mut text);
+    let mut frame = text.into_bytes();
+    let (header, payload) = frame.split_at_mut(HEADER_LEN);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    frame
 }
 
 /// Why a segment's tail was rejected.
@@ -213,6 +220,19 @@ mod tests {
         }
     }
 
+    /// Frames a literal payload.
+    fn encode(payload: &str) -> Vec<u8> {
+        encode_text(|out| out.push_str(payload))
+    }
+
+    #[test]
+    fn frames_lay_out_length_checksum_then_payload() {
+        let frame = encode("payload");
+        assert_eq!(frame[..4], 7u32.to_le_bytes());
+        assert_eq!(frame[4..8], crc32(b"payload").to_le_bytes());
+        assert_eq!(&frame[HEADER_LEN..], b"payload");
+    }
+
     #[test]
     fn crc32_matches_reference_vectors() {
         // The standard check value for CRC-32/ISO-HDLC.
@@ -223,9 +243,9 @@ mod tests {
     #[test]
     fn encode_decode_round_trips() {
         let mut segment = Vec::new();
-        segment.extend_from_slice(&encode(b"alpha"));
-        segment.extend_from_slice(&encode(b""));
-        segment.extend_from_slice(&encode(b"gamma-record"));
+        segment.extend_from_slice(&encode("alpha"));
+        segment.extend_from_slice(&encode(""));
+        segment.extend_from_slice(&encode("gamma-record"));
         let decoded = decode_segment(&segment);
         assert_eq!(
             decoded.payloads,
@@ -238,9 +258,9 @@ mod tests {
     #[test]
     fn every_truncation_point_is_detected() {
         let mut segment = Vec::new();
-        segment.extend_from_slice(&encode(b"first"));
+        segment.extend_from_slice(&encode("first"));
         let boundary = segment.len();
-        segment.extend_from_slice(&encode(b"second-record"));
+        segment.extend_from_slice(&encode("second-record"));
         for cut in boundary + 1..segment.len() {
             let decoded = decode_segment(&segment[..cut]);
             assert_eq!(decoded.payloads.len(), 1, "cut at {cut}");
@@ -251,7 +271,7 @@ mod tests {
 
     #[test]
     fn every_bit_flip_is_detected() {
-        let segment = encode(b"checksummed payload");
+        let segment = encode("checksummed payload");
         for byte in 0..segment.len() {
             let mut copy = segment.clone();
             copy[byte] ^= 1 << (byte % 8);

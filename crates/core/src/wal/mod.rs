@@ -35,6 +35,7 @@ pub use invalidate::SettingsMutation;
 pub use io::{FaultyLog, FsLog, LogIo, MemLog};
 pub use record::WalRecord;
 
+use serde::Serialize as _;
 use tippers_resilience::{FaultPlan, FaultPoint};
 
 use crate::snapshot::SnapshotError;
@@ -130,6 +131,11 @@ fn segment_name(seq: u64) -> String {
     format!("wal-{seq:010}.log")
 }
 
+/// A record as one log frame, serialized straight into the frame buffer.
+fn encode(record: &WalRecord) -> Vec<u8> {
+    frame::encode_text(|out| record.write_json(out))
+}
+
 fn parse_segment_name(name: &str) -> Option<u64> {
     let digits = name.strip_prefix("wal-")?.strip_suffix(".log")?;
     if digits.len() != 10 || !digits.bytes().all(|b| b.is_ascii_digit()) {
@@ -161,6 +167,8 @@ pub struct Wal {
     config: WalConfig,
     /// Live segment sequence numbers, ascending; the last is current.
     live: Vec<u64>,
+    /// The current segment's file name, kept beside `live`.
+    current_name: String,
     current_len: u64,
     /// Records appended since open (single and batched).
     appended_records: u64,
@@ -186,6 +194,7 @@ impl Wal {
             io,
             config,
             live: Vec::new(),
+            current_name: String::new(),
             current_len: 0,
             appended_records: 0,
             syncs: 0,
@@ -280,6 +289,7 @@ impl Wal {
             seqs.push(1);
             wal.current_len = 0;
         }
+        wal.current_name = segment_name(*seqs.last().expect("pushed above when empty"));
         wal.live = seqs;
         report.records_replayed = records.len() as u64;
         Ok((wal, records, report))
@@ -292,9 +302,24 @@ impl Wal {
             .expect("a log always has a current segment")
     }
 
+    /// Makes segment `seq` the current one, appended to from offset `len`.
+    fn set_current(&mut self, seq: u64, len: u64) {
+        self.live.push(seq);
+        self.current_name = segment_name(seq);
+        self.current_len = len;
+    }
+
+    /// Rotates to a fresh segment when `incoming` more bytes would take
+    /// a non-empty current one over [`WalConfig::segment_max_bytes`].
+    fn rotate_for(&mut self, incoming: u64) {
+        if self.current_len > 0 && self.current_len + incoming > self.config.segment_max_bytes {
+            self.set_current(self.current_seq() + 1, 0);
+        }
+    }
+
     /// The current segment's file name (diagnostics, tests).
     pub fn current_segment(&self) -> String {
-        segment_name(self.current_seq())
+        self.current_name.clone()
     }
 
     /// Live segment file names, oldest first.
@@ -311,16 +336,10 @@ impl Wal {
     /// Backend I/O failures (injected faults corrupt silently instead of
     /// erroring — they are caught by recovery's checksums, not here).
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        let bytes = frame::encode(&record.to_payload());
-        if self.current_len > 0
-            && self.current_len + bytes.len() as u64 > self.config.segment_max_bytes
-        {
-            self.live.push(self.current_seq() + 1);
-            self.current_len = 0;
-        }
-        let name = segment_name(self.current_seq());
-        self.io.append(&name, &bytes)?;
-        self.io.sync(&name)?;
+        let bytes = encode(record);
+        self.rotate_for(bytes.len() as u64);
+        self.io.append(&self.current_name, &bytes)?;
+        self.io.sync(&self.current_name)?;
         self.current_len += bytes.len() as u64;
         self.appended_records += 1;
         self.syncs += 1;
@@ -361,19 +380,13 @@ impl Wal {
                 synced: true,
             });
         }
-        let frames: Vec<Vec<u8>> = records
-            .iter()
-            .map(|r| frame::encode(&r.to_payload()))
-            .collect();
+        let frames: Vec<Vec<u8>> = records.iter().map(encode).collect();
         let total: u64 = frames.iter().map(|f| f.len() as u64).sum();
         // The whole batch lands in one segment (rotate up front if the
         // current one is full), so a batch never straddles a segment
         // boundary and recovery's per-segment scan sees it contiguously.
-        if self.current_len > 0 && self.current_len + total > self.config.segment_max_bytes {
-            self.live.push(self.current_seq() + 1);
-            self.current_len = 0;
-        }
-        let name = segment_name(self.current_seq());
+        self.rotate_for(total);
+        let name = &self.current_name;
         let pre_len = self.current_len;
         let torn = plan.should_fail(FaultPoint::IngestBatchTorn);
         let surviving = if torn {
@@ -387,7 +400,7 @@ impl Wal {
             frames.len()
         };
         for frame_bytes in &frames[..surviving] {
-            self.io.append(&name, frame_bytes)?;
+            self.io.append(name, frame_bytes)?;
             self.current_len += frame_bytes.len() as u64;
         }
         if torn {
@@ -395,7 +408,7 @@ impl Wal {
             // whole (all-out), never replay a partial row set.
             let cut = &frames[surviving][..frames[surviving].len() / 2];
             if !cut.is_empty() {
-                self.io.append(&name, cut)?;
+                self.io.append(name, cut)?;
                 self.current_len += cut.len() as u64;
             }
         }
@@ -406,7 +419,7 @@ impl Wal {
             // a *later* batch's fsync can never quietly make these frames
             // durable and resurrect rows the audit trail says were
             // dropped.
-            self.io.truncate(&name, pre_len)?;
+            self.io.truncate(name, pre_len)?;
             self.current_len = pre_len;
             return Ok(GroupCommitReport {
                 records: records.len(),
@@ -414,7 +427,7 @@ impl Wal {
             });
         }
         self.appended_records += surviving as u64;
-        self.io.sync(&name)?;
+        self.io.sync(name)?;
         self.syncs += 1;
         Ok(GroupCommitReport {
             records: records.len(),
@@ -493,7 +506,7 @@ impl Wal {
         let new_seq = self.current_seq() + 1;
         let tmp = format!("{}.tmp", segment_name(new_seq));
         let name = segment_name(new_seq);
-        let bytes = frame::encode(&record.to_payload());
+        let bytes = encode(record);
         let _ = self.io.remove(&tmp); // stale leftover from a failed attempt
         self.io.append(&tmp, &bytes)?;
         self.io.sync(&tmp)?;
@@ -516,8 +529,7 @@ impl Wal {
         // stale segments that replay harmlessly (the checkpoint record
         // resets state).
         let old: Vec<u64> = self.live.drain(..).collect();
-        self.live.push(new_seq);
-        self.current_len = bytes.len() as u64;
+        self.set_current(new_seq, bytes.len() as u64);
         for seq in old {
             let _ = self.io.remove(&segment_name(seq));
         }

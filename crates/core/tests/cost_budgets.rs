@@ -27,14 +27,14 @@ static GLOBAL: common::CountingAlloc = common::CountingAlloc;
 /// Allocations per permitted single-subject `handle_request` on a durable
 /// engine: the decision, its audit-chain record, and its share of sealing
 /// and archiving a segment every [`SEGMENT_RECORDS`] requests.
-const ALLOCATIONS_PER_PERMITTED_REQUEST: u64 = 28;
+const ALLOCATIONS_PER_PERMITTED_REQUEST: u64 = 9;
 
 /// Allocations per occupant change on a corpus-loaded durable engine: a
 /// preference submission (conflict notices, the WAL record, the enforcer
 /// patch), draining the occupant's notifications, and one probe request.
 /// A change that rebuilt the enforcer would cost allocations in
 /// proportion to the corpus.
-const ALLOCATIONS_PER_OCCUPANT_CHANGE: u64 = 58;
+const ALLOCATIONS_PER_OCCUPANT_CHANGE: u64 = 32;
 
 /// Allocations per observation through `ingest_batched` on a
 /// corpus-loaded durable engine, averaged over whole batches: the capture
@@ -45,7 +45,7 @@ const ALLOCATIONS_PER_CAPTURED_EVENT: u64 = 1;
 /// Allocations per `checkpoint()` on the corpus-loaded durable engine:
 /// cloning the durable state into a snapshot, writing it as one JSON
 /// record, and framing and publishing that record.
-const ALLOCATIONS_PER_CHECKPOINT: u64 = 30_694;
+const ALLOCATIONS_PER_CHECKPOINT: u64 = 30_690;
 
 #[test]
 fn a_permitted_request_stays_within_its_allocation_budget() {

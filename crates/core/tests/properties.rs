@@ -3,8 +3,10 @@
 use proptest::prelude::*;
 use tippers::{
     Enforcer, IndexedEnforcer, NaiveEnforcer, PolicyManager, PreferenceManager, RequestFlow, Store,
+    Tippers, TippersConfig,
 };
 use tippers_ontology::{ConceptId, Ontology};
+use tippers_policy::conflict::detect_conflicts_naive;
 use tippers_policy::{
     BuildingPolicy, Condition, DataAction, Effect, Modality, PolicyId, PreferenceId,
     PreferenceScope, ResolutionStrategy, ServiceId, TimeWindow, Timestamp, UserGroup, UserId,
@@ -333,6 +335,62 @@ proptest! {
             room_occupied: None,
         };
         prop_assert_eq!(enforcer.decide(&flow, &ont, &model).effect, Effect::Deny);
+    }
+
+    /// The engine's intake queues exactly the notices the pairwise naive
+    /// detector yields for each submitted preference, in policy order:
+    /// over generated corpora with `Allow` preferences, preferences with
+    /// no data clause, and policy retractions between submissions.
+    #[test]
+    fn intake_notices_equal_naive_detection(
+        seed in any::<u64>(),
+        n_policies in 0usize..20,
+        n_prefs in 1usize..24,
+    ) {
+        let (ont, model, spaces) = env();
+        let datas: Vec<ConceptId> = ont.data.iter().map(tippers_ontology::Concept::id).collect();
+        let purposes: Vec<ConceptId> = ont.purposes.iter().map(tippers_ontology::Concept::id).collect();
+        let strategy = [
+            ResolutionStrategy::PolicyPrevails,
+            ResolutionStrategy::PreferencePrevails,
+            ResolutionStrategy::Strictest,
+        ][(seed % 3) as usize];
+        let mut bms = Tippers::new(
+            ont.clone(),
+            model.clone(),
+            TippersConfig {
+                strategy,
+                ..TippersConfig::default()
+            },
+        );
+        for policy in gen_policies(seed, n_policies, &ont, &spaces, &datas, &purposes) {
+            bms.add_policy(policy);
+        }
+        let mut lcg = Lcg(seed ^ 0x5EED);
+        let prefs = gen_prefs(seed, n_prefs, &spaces, &datas, &purposes);
+        for (i, mut pref) in prefs.into_iter().enumerate() {
+            if lcg.next().is_multiple_of(4) && !bms.policies().is_empty() {
+                let retracted = bms.policies()[lcg.next() % bms.policies().len()].id;
+                prop_assert!(bms.remove_policy(retracted));
+            }
+            pref.id = bms.submit_preference(pref.clone(), Timestamp(i as i64));
+            let expected: Vec<String> = detect_conflicts_naive(
+                bms.policies(),
+                std::slice::from_ref(&pref),
+                &ont,
+                &model,
+                strategy,
+            )
+            .into_iter()
+            .map(|conflict| conflict.notice)
+            .collect();
+            let queued: Vec<String> = bms
+                .take_notifications(pref.user)
+                .into_iter()
+                .map(|notice| notice.text)
+                .collect();
+            prop_assert_eq!(queued, expected, "preference {}", i);
+        }
     }
 
     /// Retention GC never keeps an expired row and never deletes an

@@ -143,24 +143,40 @@ pub fn classify(
         ResolutionStrategy::PreferencePrevails => pref.effect,
         ResolutionStrategy::Strictest => pref.effect.stricter(Effect::Allow),
     };
-    let notice = match strategy {
-        ResolutionStrategy::PolicyPrevails => format!(
-            "Your preference {} cannot be honored: building policy `{}` ({}) is mandatory.",
-            pref.id, policy.name, policy.description
-        ),
-        _ => format!(
-            "Your preference {} overrides mandatory building policy `{}`.",
-            pref.id, policy.name
-        ),
-    };
     Some(Conflict {
         policy: policy.id,
         preference: pref.id,
         kind,
         resolved_effect,
         strategy,
-        notice,
+        notice: notice(policy, pref, strategy),
     })
+}
+
+/// The IoTA notice for a conflict, rendered into one buffer sized up front:
+/// "Your preference {pref} cannot be honored: building policy `{name}`
+/// ({description}) is mandatory." when the policy prevails, else "Your
+/// preference {pref} overrides mandatory building policy `{name}`.".
+fn notice(policy: &BuildingPolicy, pref: &UserPreference, strategy: ResolutionStrategy) -> String {
+    use std::fmt::Write as _;
+
+    // Either form's fixed text (at most 71 bytes), plus `pref#` and a u64.
+    const FIXED: usize = 96;
+    let mut text = String::with_capacity(FIXED + policy.name.len() + policy.description.len());
+    text.push_str("Your preference ");
+    write!(text, "{}", pref.id).expect("writing to a String cannot fail");
+    if strategy == ResolutionStrategy::PolicyPrevails {
+        text.push_str(" cannot be honored: building policy `");
+        text.push_str(&policy.name);
+        text.push_str("` (");
+        text.push_str(&policy.description);
+        text.push_str(") is mandatory.");
+    } else {
+        text.push_str(" overrides mandatory building policy `");
+        text.push_str(&policy.name);
+        text.push_str("`.");
+    }
+    text
 }
 
 /// Pairwise conflict detection — the naive baseline.
@@ -335,6 +351,35 @@ mod tests {
         assert_eq!(c.kind, ConflictKind::DenyOfRequired);
         assert_eq!(c.resolved_effect, Effect::Allow);
         assert!(c.notice.contains("mandatory"));
+    }
+
+    #[test]
+    fn notices_render_the_documented_text_for_every_strategy() {
+        let (ont, model) = env();
+        let policy = policy2(&ont, &model);
+        let mut pref = preference2(&ont);
+        for id in [0, 2, 7_019, u64::MAX] {
+            pref.id = PreferenceId(id);
+            for strategy in [
+                ResolutionStrategy::PolicyPrevails,
+                ResolutionStrategy::PreferencePrevails,
+                ResolutionStrategy::Strictest,
+            ] {
+                let expected = if strategy == ResolutionStrategy::PolicyPrevails {
+                    format!(
+                        "Your preference {} cannot be honored: building policy `{}` ({}) is mandatory.",
+                        pref.id, policy.name, policy.description
+                    )
+                } else {
+                    format!(
+                        "Your preference {} overrides mandatory building policy `{}`.",
+                        pref.id, policy.name
+                    )
+                };
+                let conflict = classify(&policy, &pref, &ont, &model, strategy).expect("conflicts");
+                assert_eq!(conflict.notice, expected);
+            }
+        }
     }
 
     #[test]

@@ -151,6 +151,30 @@ fn chain_replay_reconstructs_the_legacy_audit_exactly() {
     );
 }
 
+/// The deletion digest is a byte-level format: auditors re-derive it from
+/// the deleted rows, and replicas match certificates across nodes. These
+/// digests were computed by the build that hashed one joined buffer; the
+/// streaming hasher must reproduce them exactly.
+#[test]
+fn deletion_certificates_keep_their_digests() {
+    let (mut bms, _, _) = paper_bms(TippersConfig::default());
+    assert_eq!(bms.sweep(Timestamp::at(400, 0, 0)), 50);
+    let certificates: Vec<_> = bms
+        .deletion_certificates()
+        .iter()
+        .map(|c| (c.sweep, c.time, c.rows, c.digest.as_str()))
+        .collect();
+    assert_eq!(
+        certificates,
+        [(
+            1,
+            Timestamp::at(400, 0, 0),
+            50,
+            "78abab31443f05feccbc746c0aac6a2b74abafd3192badf7b2ed23d6c1c2fb70"
+        )]
+    );
+}
+
 /// Builds a sealed segment over `payloads` (padded to at least two
 /// records so drops and swaps are always possible).
 fn sealed(payloads: &[String]) -> SealedSegment {
